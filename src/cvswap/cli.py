@@ -1,8 +1,9 @@
 """Command-line front end: predict, sweep, verify, montecarlo, optimal-gain.
 
 Exit codes: 0 success; 2 usage/config parse errors; 3 physics rejections
-(valid syntax, unbuildable experiment); 4 verification failure (oracle and
-closed form disagree); 1 anything else (e.g. unwritable output).
+(valid syntax, unbuildable experiment or a result outside floating-point
+range); 4 verification failure (oracle and closed form disagree); 1 anything
+else (e.g. unwritable output).
 """
 
 from __future__ import annotations
@@ -209,6 +210,10 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     params = _require_config(args).to_params()
     if args.out is None:
         raise ConfigError("montecarlo requires --out PATH for the trace CSV")
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    if args.n_per_point is not None and args.n_per_point < 1:
+        raise ConfigError(f"--n-per-point must be >= 1, got {args.n_per_point}")
     trace = montecarlo.render_trace(
         params, args.kind, args.points, args.seed, args.n_per_point
     )
@@ -278,6 +283,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"physics rejection: {exc}", file=sys.stderr)
+        return EXIT_PHYSICS
+    except ArithmeticError as exc:
+        print(f"physics rejection: result outside floating-point range "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_PHYSICS
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -126,12 +126,6 @@ class GaussianModel:
     def y_form(self, label: str) -> QuadratureForm:
         return self._mode(label).y
 
-    def source_variance(self, source_id: str) -> float:
-        try:
-            return self.sources[source_id].variance
-        except KeyError:
-            raise ValueError(f"unregistered source {source_id!r}") from None
-
     # -- construction helpers ----------------------------------------------
 
     def _mode(self, label: str) -> Mode:

@@ -4,9 +4,15 @@ The analysis sideband is one static Gaussian mode per beam, so a "trace" is
 not a spectrum: each displayed point is the dB noise power of an average
 over ``n_per_point`` squared samples, mimicking what a analyzer pixel shows
 at fixed frequency. The default averaging depth is round(RBW / VBW) for the
-bench settings 10 kHz / 30 Hz. Sampling uses numpy's PCG64 generator with
-per-chunk spawned seeds, so results are reproducible and chunk scheduling
-cannot change them.
+bench settings 10 kHz / 30 Hz.
+
+A sample of a quadrature form is a linear combination of independent
+zero-mean Gaussian sources, so it is itself one Gaussian N(0, V) with
+V = sum_i c_i^2 sigma_i^2, the variance the network oracle reports for the
+form. Each sample is therefore one standard normal draw scaled by sqrt(V);
+the per-source draws are never materialized. Sampling uses numpy's PCG64
+generator with per-chunk (per-point for traces) spawned seeds, so results
+are reproducible and chunk scheduling cannot change them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ DEFAULT_N_PER_POINT = round(RBW_HZ / VBW_HZ)  # 333
 
 TRACE_KINDS = ("correlated", "blocked", "single_mode_a", "single_mode_dprime", "snl")
 
-RNG_ALGORITHM = "numpy default_rng (PCG64), per-point seeds spawned from SeedSequence"
+RNG_ALGORITHM = (
+    "numpy default_rng (PCG64), per-point seeds spawned from SeedSequence; "
+    "one N(0, V) draw per sample, V the network variance of the form"
+)
 
 _CHUNK = 1 << 17
 
@@ -54,24 +63,8 @@ class TraceSeries:
         """Pooled variance estimate: mean of the per-point linear averages."""
         return float(self.linear_points().mean())
 
-    def linear_stderr(self) -> float:
-        pts = self.linear_points()
-        if pts.size < 2:
-            return 0.0
-        return float(pts.std(ddof=1) / math.sqrt(pts.size))
-
     def pooled_db(self) -> float:
         return 10.0 * math.log10(self.linear_mean())
-
-
-def _form_weights(model: GaussianModel, form: QuadratureForm) -> np.ndarray:
-    """Per-source sampling weights c_i * sigma_i for the nonzero coefficients."""
-    weights = [
-        c * math.sqrt(model.source_variance(sid))
-        for sid, c in form.coefficients.items()
-        if c != 0.0
-    ]
-    return np.asarray(weights)
 
 
 def estimate_variance(
@@ -86,8 +79,8 @@ def estimate_variance(
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    weights = _form_weights(model, form)
-    if weights.size == 0:
+    sigma = math.sqrt(model.variance(form))
+    if sigma == 0.0:
         return 0.0, 0.0
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -98,7 +91,7 @@ def estimate_variance(
         rng = np.random.default_rng(child)
         size = min(_CHUNK, remaining)
         remaining -= size
-        values = rng.standard_normal((size, weights.size)) @ weights
+        values = rng.standard_normal(size) * sigma
         squares = values * values
         sum_sq += float(squares.sum())
         sum_quad += float((squares * squares).sum())
@@ -142,12 +135,12 @@ def render_trace(
 
     model, form = _trace_form(params, kind)
     norm = swap.snl_reference()
-    weights = _form_weights(model, form)
+    sigma = math.sqrt(model.variance(form))
     children = np.random.SeedSequence(seed).spawn(points)
     samples: list[tuple[int, float]] = []
     for index, child in enumerate(children):
         rng = np.random.default_rng(child)
-        values = rng.standard_normal((n_per_point, weights.size)) @ weights
+        values = rng.standard_normal(n_per_point) * sigma
         power = float((values * values).mean()) / norm
         samples.append((index, 10.0 * math.log10(power)))
 

@@ -111,6 +111,26 @@ def test_predict_physics_rejection(tmp_path, lab_config_text, capsys):
     assert "physics rejection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("squeezing", "code", "message"),
+    [
+        ("r1: .nan", EXIT_CONFIG, "squeezing.r1: expected a finite number"),
+        ("r1: .inf", EXIT_CONFIG, "squeezing.r1: expected a finite number"),
+        ("r1: 200", EXIT_PHYSICS, "outside floating-point range"),
+        ("r1_db: 5000", EXIT_PHYSICS, "outside floating-point range"),
+    ],
+)
+def test_predict_extreme_squeezing_exits_cleanly(
+    tmp_path, lab_config_text, capsys, squeezing, code, message
+):
+    path = tmp_path / "extreme.yaml"
+    path.write_text(lab_config_text.replace("r1: 0.564", squeezing))
+    assert run(["predict", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 # -- optimal-gain ------------------------------------------------------------------
 
 
@@ -225,6 +245,17 @@ def test_montecarlo_unknown_kind_is_usage_error(config_path, tmp_path):
 
 def test_montecarlo_requires_out(config_path):
     assert run(["montecarlo", "--config", config_path, "--kind", "snl"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag", ["--points", "--n-per-point"])
+def test_montecarlo_zero_count_is_config_error(config_path, tmp_path, capsys, flag):
+    out = tmp_path / "t.csv"
+    assert run([
+        "montecarlo", "--config", config_path, "--kind", "snl",
+        flag, "0", "--out", str(out),
+    ]) == EXIT_CONFIG
+    assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- parser ---------------------------------------------------------------------------

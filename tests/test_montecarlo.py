@@ -14,9 +14,10 @@ from cvswap import (
     build_network,
     estimate_variance,
     render_trace,
+    snl_reference,
     write_trace_csv,
 )
-from cvswap.montecarlo import DEFAULT_N_PER_POINT, TRACE_KINDS
+from cvswap.montecarlo import DEFAULT_N_PER_POINT, RNG_ALGORITHM, TRACE_KINDS, _trace_form
 from conftest import make_lab_params
 
 V_LAB = 0.718796855333
@@ -63,6 +64,16 @@ def test_estimate_chunking_is_seamless():
     big = (1 << 17) + 123
     est, se = estimate_variance(m, m.x_form("v1"), big, seed=9)
     assert abs(est - 1.0) <= 4 * se
+
+
+@pytest.mark.parametrize(
+    ("kind", "seed"),
+    [("correlated", 61), ("blocked", 62), ("single_mode_a", 63), ("single_mode_dprime", 64)],
+)
+def test_estimate_matches_network_variance_per_kind(lab_params, kind, seed):
+    model, form = _trace_form(lab_params, kind)
+    est, se = estimate_variance(model, form, 200_000, seed=seed)
+    assert abs(est - model.variance(form)) <= 4 * se
 
 
 # -- traces ------------------------------------------------------------------------
@@ -129,6 +140,23 @@ def test_trace_metadata_records_provenance(lab_params):
     assert trace.metadata["n_per_point"] == 50
     assert trace.metadata["params"]["r1"] == lab_params.r1
     assert "sideband_model" in trace.metadata
+
+
+def test_trace_is_one_scaled_draw_per_sample(lab_params):
+    # each sample is sqrt(V) times one standard normal from the point's spawned stream
+    trace = render_trace(lab_params, "correlated", points=3, seed=14, n_per_point=500)
+    model, form = _trace_form(lab_params, "correlated")
+    sigma = math.sqrt(model.variance(form))
+    for (_, db), child in zip(trace.samples, np.random.SeedSequence(14).spawn(3)):
+        values = np.random.default_rng(child).standard_normal(500) * sigma
+        assert db == 10.0 * math.log10(float((values * values).mean()) / snl_reference())
+
+
+def test_sidecar_names_single_draw_stream(tmp_path, lab_params):
+    trace = render_trace(lab_params, "blocked", points=2, seed=15, n_per_point=50)
+    meta = yaml.safe_load(write_trace_csv(trace, tmp_path / "trace.csv").read_text())
+    assert meta["rng"] == RNG_ALGORITHM
+    assert "one N(0, V) draw per sample" in meta["rng"]
 
 
 def test_trace_csv_roundtrip_and_sidecar(tmp_path, lab_params):
