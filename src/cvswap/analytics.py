@@ -9,7 +9,7 @@ cross-check of the whole package (``cvswap verify``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,49 +22,83 @@ _LN10 = math.log(10.0)
 def variance_formula(params: ExperimentParams, g_swap: float) -> float:
     """Verification-stage variance (SNL units) at normalized feedforward gain ``g_swap``.
 
-    Identical for the amplitude-sum and phase-difference channels. The
-    closed form keeps its specific efficiency dressing on purpose; do not
-    "simplify" it, the network oracle guards the transcription.
+    Identical for the amplitude-sum and phase-difference channels.
     """
-    if g_swap < 0:
-        raise ValueError(f"g_swap must be >= 0, got {g_swap}")
-    r1, r2 = params.r1, params.r2
-    x1, x2, x3, x4 = params.xi1, params.xi2, params.xi3, params.xi4
-    eta = params.eta
-    sqrt_r = math.sqrt(params.mirror_R)
-
-    v = 0.25 * (eta * x3 - g_swap * eta * x4) ** 2 * math.exp(2.0 * r1)
-    v += 0.25 * (sqrt_r * eta * x2 * x4 - g_swap * eta * x4) ** 2 * math.exp(2.0 * r2)
-    v += 0.25 * (eta * x3 + g_swap * eta * x4) ** 2 * math.exp(-2.0 * r1)
-    v += 0.25 * (sqrt_r * eta * x2 * x4 + g_swap * eta * x4) ** 2 * math.exp(-2.0 * r2)
-    v += 1.0 - eta**2
-    v += 0.5 * eta**2 * (2.0 - x3**2 - x4**2)
-    v += 0.5 * eta**2 * (1.0 - params.mirror_R * x2**2) * x4**2
-    if g_swap > 0:
-        if x1 == 0:
-            raise ValueError("xi1 = 0 with nonzero gain: feedforward noise term diverges")
-        v += g_swap**2 * (1.0 - eta**2 * x1**2) * x4**2 / x1**2
-    return v
+    feedforward = _check_gains(params, g_swap, g_swap)
+    return _finite(_variance(params, params.r1, params.r2, g_swap, feedforward, math.exp))
 
 
 def optimal_gain(params: ExperimentParams) -> float:
     """Normalized gain minimizing :func:`variance_formula`; 0 when nothing is squeezed."""
-    r1, r2 = params.r1, params.r2
-    e2r1, e2r2 = math.exp(2.0 * r1), math.exp(2.0 * r2)
-    e4r1, e4r2 = math.exp(4.0 * r1), math.exp(4.0 * r2)
+    return _finite(_optimal_gain(params, params.r1, params.r2, math.exp))
+
+
+# -- the closed form ----------------------------------------------------------
+#
+# Written once for both scalar and grid use: r1, r2 and g_swap are either
+# floats (with exp = math.exp) or arrays that broadcast against each other
+# (with exp = np.exp). Either way a result outside floating-point range is an
+# ArithmeticError: scalar callers check the result (float * and / overflow to
+# inf silently), array callers evaluate under np.errstate(..., "raise").
+
+
+def _finite(value: float) -> float:
+    """``value`` as a built-in float, or OverflowError if it is inf or nan."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise OverflowError(f"closed form evaluates to {value}")
+    return value
+
+
+def _check_gains(params: ExperimentParams, low, high) -> bool:
+    """Reject gains in [low, high] the closed form cannot take; True if any is nonzero."""
+    if low < 0:
+        raise ValueError(f"g_swap must be >= 0, got {low}")
+    if high > 0 and params.xi1 == 0:
+        raise ValueError("xi1 = 0 with nonzero gain: feedforward noise term diverges")
+    return high > 0
+
+
+def _variance(params: ExperimentParams, r1, r2, g_swap, feedforward: bool, exp):
+    """The verification-stage variance.
+
+    The closed form keeps its specific efficiency dressing on purpose; do not
+    "simplify" it, the network oracle guards the transcription.
+    ``feedforward`` says whether any gain is nonzero (see :func:`_check_gains`).
+    """
+    x1, x2, x3, x4 = params.xi1, params.xi2, params.xi3, params.xi4
+    eta = params.eta
+    sqrt_r = math.sqrt(params.mirror_R)
+
+    v = (0.25 * (eta * x3 - g_swap * eta * x4) ** 2 * exp(2.0 * r1)
+         + 0.25 * (sqrt_r * eta * x2 * x4 - g_swap * eta * x4) ** 2 * exp(2.0 * r2)
+         + 0.25 * (eta * x3 + g_swap * eta * x4) ** 2 * exp(-2.0 * r1)
+         + 0.25 * (sqrt_r * eta * x2 * x4 + g_swap * eta * x4) ** 2 * exp(-2.0 * r2)
+         + (1.0 - eta**2)
+         + 0.5 * eta**2 * (2.0 - x3**2 - x4**2)
+         + 0.5 * eta**2 * (1.0 - params.mirror_R * x2**2) * x4**2)
+    if feedforward:
+        v = v + g_swap**2 * (1.0 - eta**2 * x1**2) * x4**2 / x1**2
+    return v
+
+
+def _optimal_gain(params: ExperimentParams, r1, r2, exp):
+    """The gain minimizing :func:`_variance` at each (r1, r2)."""
+    if params.xi4 == 0:
+        raise ValueError("degenerate gain denominator (xi4 = 0): no beam to displace")
+    e2r1, e2r2 = exp(2.0 * r1), exp(2.0 * r2)
+    e4r1, e4r2 = exp(4.0 * r1), exp(4.0 * r2)
     sqrt_r = math.sqrt(params.mirror_R)
     eta_sq = params.eta**2
     xi1_sq = params.xi1**2
 
     numerator = eta_sq * ((e4r1 - 1.0) * e2r2 * params.xi3
                           + e2r1 * (e4r2 - 1.0) * sqrt_r * params.xi2 * params.xi4) * xi1_sq
-    denominator = (4.0 * math.exp(2.0 * (r1 + r2))
+    denominator = (4.0 * exp(2.0 * (r1 + r2))
                    + eta_sq * (e2r1 + e2r2
-                               + math.exp(4.0 * r1 + 2.0 * r2)
-                               + math.exp(2.0 * r1 + 4.0 * r2)
-                               - 4.0 * math.exp(2.0 * (r1 + r2))) * xi1_sq) * params.xi4
-    if denominator == 0:
-        raise ValueError("degenerate gain denominator (xi4 = 0): no beam to displace")
+                               + exp(4.0 * r1 + 2.0 * r2)
+                               + exp(2.0 * r1 + 4.0 * r2)
+                               - 4.0 * exp(2.0 * (r1 + r2))) * xi1_sq) * params.xi4
     return numerator / denominator
 
 
@@ -181,16 +215,19 @@ def sweep_surface(
     r1_axis: Sequence[float],
     r2_axis: Sequence[float],
 ) -> SweepGrid:
-    """Evaluate variance_formula at the per-point optimal gain over the grid."""
+    """Evaluate variance_formula at the per-point optimal gain over the grid.
+
+    One broadcast evaluation of the closed form over ``r1 x r2``.
+    """
     r1s = np.asarray(list(r1_axis), dtype=float)
     r2s = np.asarray(list(r2_axis), dtype=float)
     if r1s.size == 0 or r2s.size == 0:
         raise ValueError("sweep axes must be nonempty")
-    if (r1s < 0).any() or (r2s < 0).any():
+    if not ((r1s >= 0).all() and (r2s >= 0).all()):  # also rejects nan
         raise ValueError("squeezing parameters must be >= 0")
-    values = np.empty((r1s.size, r2s.size))
-    for i, r1 in enumerate(r1s):
-        for j, r2 in enumerate(r2s):
-            point = replace(params, r1=float(r1), r2=float(r2))
-            values[i, j] = variance_formula(point, optimal_gain(point))
+    r1, r2 = r1s[:, None], r2s[None, :]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        gains = _optimal_gain(params, r1, r2, np.exp)
+        feedforward = _check_gains(params, gains.min(), gains.max())
+        values = _variance(params, r1, r2, gains, feedforward, np.exp)
     return SweepGrid(r1s, r2s, values)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -127,15 +129,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep requires --out PATH for the CSV grid")
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
+    for flag, bounds in (("--r1", args.r1), ("--r2", args.r2)):
+        if not all(map(math.isfinite, bounds)):
+            raise ConfigError(f"{flag} bounds must be finite, got {bounds[0]} {bounds[1]}")
     r1s = np.linspace(args.r1[0], args.r1[1], args.steps)
     r2s = np.linspace(args.r2[0], args.r2[1], args.steps)
     grid = analytics.sweep_surface(params, r1s, r2s)
+    # the bytes csv.writer would give: r1-major rows of repr floats, \r\n line ends
+    r2_cells = [f",{r2!r}," for r2 in grid.r2_values.tolist()]
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r1", "r2", "v_snl"])
-        for i, r1 in enumerate(grid.r1_values):
-            for j, r2 in enumerate(grid.r2_values):
-                writer.writerow([repr(float(r1)), repr(float(r2)), repr(float(grid.values[i, j]))])
+        fh.write("r1,r2,v_snl\r\n")
+        for r1, row in zip(grid.r1_values.tolist(), grid.values):
+            r1_cell = repr(r1)
+            fh.write("".join(f"{r1_cell}{r2_cell}{v!r}\r\n"
+                             for r2_cell, v in zip(r2_cells, row.tolist())))
     print(f"wrote {grid.values.size} grid points to {args.out}")
     return EXIT_OK
 
@@ -186,24 +193,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not ok:
         assert worst_params is not None
         print("offending parameter set:", file=sys.stderr)
-        print(json.dumps(_params_dump(worst_params), indent=2), file=sys.stderr)
+        print(json.dumps(dataclasses.asdict(worst_params), indent=2), file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def _params_dump(params: ExperimentParams) -> dict:
-    return {
-        "r1": params.r1,
-        "r2": params.r2,
-        "xi1": params.xi1,
-        "xi2": params.xi2,
-        "xi3": params.xi3,
-        "xi4": params.xi4,
-        "eta": params.eta,
-        "mirror_R": params.mirror_R,
-        "gain": {"mode": params.gain.mode, "value": params.gain.value},
-        "channel_blocked": params.channel_blocked,
-    }
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
@@ -277,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

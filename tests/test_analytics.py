@@ -302,6 +302,51 @@ def test_sweep_rejects_bad_axes(lab_params):
         sweep_surface(lab_params, [-0.1], [0.1])
 
 
+_axis = st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=4).map(
+    lambda rs: [0.0, *rs]  # always includes the unsqueezed row and column
+)
+_efficiency = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@given(
+    r1s=_axis, r2s=_axis,
+    xi=st.tuples(_efficiency, _efficiency, _efficiency, _efficiency),
+    eta=_efficiency,
+    mirror_R=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_sweep_matches_scalar_path(r1s, r2s, xi, eta, mirror_R):
+    params = ExperimentParams(
+        r1=0.0, r2=0.0, xi1=xi[0], xi2=xi[1], xi3=xi[2], xi4=xi[3], eta=eta, mirror_R=mirror_R,
+    )
+    try:
+        expected = [
+            [variance_formula(q, optimal_gain(q)) for q in (replace(params, r1=r1, r2=r2) for r2 in r2s)]
+            for r1 in r1s
+        ]
+    except ArithmeticError:
+        # a cell outside floating-point range must fail the grid the same way
+        with pytest.raises(ArithmeticError):
+            sweep_surface(params, r1s, r2s)
+        return
+    grid = sweep_surface(params, r1s, r2s)
+    assert grid.values.shape == (len(r1s), len(r2s))
+    for i in range(len(r1s)):
+        for j in range(len(r2s)):
+            assert grid.values[i, j] == pytest.approx(expected[i][j], rel=1e-12, abs=0.0)
+
+
+def test_scalar_closed_form_returns_builtin_float(lab_params):
+    g = optimal_gain(lab_params)
+    assert type(g) is float
+    assert type(variance_formula(lab_params, g)) is float
+    assert type(variance_formula(lab_params, 0.0)) is float
+
+
+def test_sweep_rejects_nan_axis(lab_params):
+    with pytest.raises(ValueError, match=">= 0"):
+        sweep_surface(lab_params, [0.1], [float("nan")])
+
+
 def test_lab_params_fixture_matches_frozen_values():
     params = make_lab_params(gain=GainSpec.fixed(0.0))
     assert variance_formula(params, 0.0) == pytest.approx(V_BLOCKED, rel=1e-10)

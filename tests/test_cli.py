@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import cvswap.analytics
+from cvswap import ConfigFile
 from cvswap.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, main
 
 
@@ -184,6 +188,61 @@ def test_sweep_requires_out_and_steps(config_path, capsys):
     ]) == EXIT_CONFIG
 
 
+def test_sweep_csv_format_and_values(config_path, tmp_path):
+    out = tmp_path / "grid.csv"
+    argv = ["--r1", "0.0", "1.2", "--r2", "0.3", "0.9", "--steps", "3"]
+    assert run(["sweep", "--config", config_path, *argv, "--out", str(out)]) == EXIT_OK
+    params = ConfigFile.load(config_path).to_params()
+    r1s, r2s = np.linspace(0.0, 1.2, 3), np.linspace(0.3, 0.9, 3)
+    grid = cvswap.analytics.sweep_surface(params, r1s, r2s)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["r1", "r2", "v_snl"])
+    for i, r1 in enumerate(r1s):
+        for j, r2 in enumerate(r2s):
+            writer.writerow([repr(float(r1)), repr(float(r2)), repr(float(grid.values[i, j]))])
+    assert out.read_bytes() == expected.getvalue().encode()
+    # the broadcast values may differ from the scalar path only in the last ulp
+    rows = list(csv.reader(out.open(newline="")))[1:]
+    for row in rows:
+        r1, r2, value = map(float, row)
+        point = replace(params, r1=r1, r2=r2)
+        scalar = cvswap.analytics.variance_formula(point, cvswap.analytics.optimal_gain(point))
+        assert value == pytest.approx(scalar, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    ("edit", "axes", "message"),
+    [
+        (("xi4_sq: 0.968", "xi4_sq: 0"), ("0", "1"), "degenerate gain denominator"),
+        (None, ("0", "300"), "outside floating-point range"),
+    ],
+)
+def test_sweep_rejects_like_scalar_path(tmp_path, lab_config_text, capsys, edit, axes, message):
+    path = tmp_path / "bench.yaml"
+    path.write_text(lab_config_text.replace(*edit) if edit else lab_config_text)
+    out = tmp_path / "grid.csv"
+    assert run([
+        "sweep", "--config", str(path), "--r1", *axes, "--r2", "0", "1",
+        "--steps", "3", "--out", str(out),
+    ]) == EXIT_PHYSICS
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf"])
+def test_sweep_non_finite_axis_is_config_error(config_path, tmp_path, capsys, bound):
+    out = tmp_path / "grid.csv"
+    assert run([
+        "sweep", "--config", config_path, "--r1", "0", "1", "--r2", "0", bound,
+        "--steps", "3", "--out", str(out),
+    ]) == EXIT_CONFIG
+    assert "config error: --r2 bounds must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- verify -------------------------------------------------------------------------
 
 
@@ -215,6 +274,11 @@ def test_verify_detects_corrupted_formula(config_path, capsys, monkeypatch):
     assert captured.out.startswith("FAIL")
     assert "offending parameter set" in captured.err
     assert '"mirror_R": 0.98' in captured.err
+
+
+def test_verify_negative_seed_is_config_error(capsys):
+    assert run(["verify", "--random", "3", "--seed", "-1"]) == EXIT_CONFIG
+    assert "config error: --seed must be >= 0" in capsys.readouterr().err
 
 
 # -- montecarlo ----------------------------------------------------------------------
@@ -255,6 +319,16 @@ def test_montecarlo_zero_count_is_config_error(config_path, tmp_path, capsys, fl
         flag, "0", "--out", str(out),
     ]) == EXIT_CONFIG
     assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_montecarlo_negative_seed_is_config_error(config_path, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run([
+        "montecarlo", "--config", config_path, "--kind", "snl",
+        "--points", "2", "--seed", "-1", "--out", str(out),
+    ]) == EXIT_CONFIG
+    assert "config error: --seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
