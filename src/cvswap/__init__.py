@@ -6,7 +6,6 @@ transmission losses, detector efficiency, and classical feedforward gain.
 """
 
 from .analytics import (
-    SweepGrid,
     db_from_linear,
     db_from_r,
     duan_verdict,
@@ -21,19 +20,17 @@ from .analytics import (
     variance_formula,
 )
 from .config import ConfigError, ConfigFile
-from .gaussian import GaussianModel, QuadratureForm, SourceVariable
-from .montecarlo import TraceSeries, estimate_variance, render_trace, write_trace_csv
+from .gaussian import GaussianModel
+from .montecarlo import estimate_variance, render_trace, write_trace_csv
 from .params import ExperimentParams, GainSpec, VarianceReport
 from .swap import (
-    NetworkHandles,
     build_network,
-    claire_currents,
     run_experiment,
     single_mode_noise,
     snl_reference,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ConfigError",
@@ -41,14 +38,8 @@ __all__ = [
     "ExperimentParams",
     "GainSpec",
     "GaussianModel",
-    "NetworkHandles",
-    "QuadratureForm",
-    "SourceVariable",
-    "SweepGrid",
-    "TraceSeries",
     "VarianceReport",
     "build_network",
-    "claire_currents",
     "db_from_linear",
     "db_from_r",
     "duan_verdict",

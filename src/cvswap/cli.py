@@ -171,6 +171,8 @@ def check_point(params: ExperimentParams) -> float:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.random < 0:
+        raise ConfigError(f"--random must be >= 0, got {args.random}")
     points: list[ExperimentParams] = []
     if args.config is not None:
         points.append(ConfigFile.load(args.config).to_params())

@@ -1,164 +1,105 @@
-"""Linear Gaussian optics over explicit noise sources.
+"""Linear Gaussian optics as one dense linear map over independent sources.
 
-Every optical mode is tracked as a pair of quadrature forms (x, y), each a
-linear combination of independent zero-mean Gaussian source variables plus a
-classical offset. Variances are shot-noise normalized: a vacuum quadrature
-has variance 1, so the shot noise limit sits at 1 by construction and a
-two-mode squeezed pair stores joint-quadrature variances exp(-2r) / exp(+2r).
+A model holds ``variances``, one entry per independent zero-mean Gaussian
+noise source in creation order, and ``rows``, a coefficient array with one
+column per source and two rows (x, y) per optical mode; ``labels`` maps each
+mode label to the index of its x row (the y row follows it). A quadrature
+form is a 1-D coefficient array over the sources that existed when it was
+taken, so a form stays valid on every later model of the same network: the
+sources added since then are zero in it.
 
-Linear elements (beamsplitters, loss channels, squeezed-pair creation,
-feedforward displacements) only rewrite the forms, so the variance of any
-downstream quadrature combination -- including measured photocurrents fed
-forward onto other modes -- is an exact sum over source variances. Nothing
-is sampled or truncated here.
+Variances are shot-noise normalized: a vacuum quadrature has variance 1, so
+the shot noise limit sits at 1 by construction and a two-mode squeezed pair
+stores joint-quadrature variances exp(-2r) / exp(+2r). Linear elements
+(beamsplitters, loss channels, squeezed-pair creation, feedforward
+displacements) only rewrite rows or append sources, so the covariance of any
+two forms, including measured photocurrents fed forward onto other modes, is
+the exact sum ``f1 * variances @ f2``. Nothing is sampled or truncated here.
 
-Models are value-like: every operation returns a new model and never mutates
-the receiver, so instances can be shared read-only across workers.
+Models are value-like: every operation returns a new model built on copies,
+and the arrays a model hands out are read-only, so instances can be shared
+across workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SourceVariable", "QuadratureForm", "GaussianModel"]
+__all__ = ["GaussianModel"]
 
 _SQRT2 = math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class SourceVariable:
-    """An independent zero-mean Gaussian noise source with a fixed variance."""
-
-    id: str
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not self.variance >= 0.0:
-            raise ValueError(f"source {self.id!r}: variance must be >= 0, got {self.variance}")
-
-
-@dataclass(frozen=True)
-class QuadratureForm:
-    """A quadrature observable as a linear combination of noise sources.
-
-    ``classical_offset`` carries deterministic displacement contributions
-    (bright-beam means); it is ignored by every variance evaluation.
-    Treat instances as immutable: combining returns new forms.
-    """
-
-    coefficients: dict[str, float] = field(default_factory=dict)
-    classical_offset: float = 0.0
-
-    def scaled(self, factor: float) -> QuadratureForm:
-        if factor == 0.0:
-            return QuadratureForm({}, 0.0)
-        return QuadratureForm(
-            {sid: factor * c for sid, c in self.coefficients.items()},
-            factor * self.classical_offset,
-        )
-
-    def _combined(self, other: QuadratureForm, sign: float) -> QuadratureForm:
-        coeffs = dict(self.coefficients)
-        for sid, c in other.coefficients.items():
-            new = coeffs.get(sid, 0.0) + sign * c
-            if new == 0.0:
-                coeffs.pop(sid, None)
-            else:
-                coeffs[sid] = new
-        return QuadratureForm(coeffs, self.classical_offset + sign * other.classical_offset)
-
-    def __add__(self, other: QuadratureForm) -> QuadratureForm:
-        return self._combined(other, 1.0)
-
-    def __sub__(self, other: QuadratureForm) -> QuadratureForm:
-        return self._combined(other, -1.0)
-
-    def __mul__(self, factor: float) -> QuadratureForm:
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> QuadratureForm:
-        return self.scaled(-1.0)
-
-
-@dataclass(frozen=True)
-class Mode:
-    """The (x, y) quadrature pair of one optical mode."""
-
-    x: QuadratureForm
-    y: QuadratureForm
+# coefficients of (x_a, y_a, x_b, y_b) on the pair's sources (xsum, xdiff, ysum, ydiff)
+_EPR_ROWS = np.array(
+    [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
+) / _SQRT2
 
 
 class GaussianModel:
-    """Registry of noise sources plus the quadrature forms of all live modes.
+    """Source variances plus the (x, y) coefficient rows of every live mode.
 
     Construct with :meth:`empty` and grow with the operation methods; each
-    operation returns a fresh model sharing untouched forms with its parent.
+    operation returns a fresh model and leaves the receiver unchanged.
     """
 
-    def __init__(
-        self,
-        sources: dict[str, SourceVariable] | None = None,
-        modes: dict[str, Mode] | None = None,
-        counter: int = 0,
-    ) -> None:
-        self.sources: dict[str, SourceVariable] = sources if sources is not None else {}
-        self.modes: dict[str, Mode] = modes if modes is not None else {}
-        self._counter = counter
+    def __init__(self, variances: np.ndarray, rows: np.ndarray, labels: dict[str, int]) -> None:
+        variances.flags.writeable = False
+        rows.flags.writeable = False
+        self.variances = variances
+        self.rows = rows
+        self.labels = labels
 
     @classmethod
     def empty(cls) -> GaussianModel:
-        return cls()
+        return cls(np.empty(0), np.empty((0, 0)), {})
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def mode_labels(self) -> tuple[str, ...]:
-        return tuple(self.modes)
+        return tuple(self.labels)
 
-    def x_form(self, label: str) -> QuadratureForm:
-        return self._mode(label).x
+    def x_form(self, label: str) -> np.ndarray:
+        return self.rows[self._row(label)]
 
-    def y_form(self, label: str) -> QuadratureForm:
-        return self._mode(label).y
+    def y_form(self, label: str) -> np.ndarray:
+        return self.rows[self._row(label) + 1]
 
     # -- construction helpers ----------------------------------------------
 
-    def _mode(self, label: str) -> Mode:
+    def _row(self, label: str) -> int:
         try:
-            return self.modes[label]
+            return self.labels[label]
         except KeyError:
             raise ValueError(f"unknown mode {label!r}") from None
 
-    def _clone(self) -> GaussianModel:
-        return GaussianModel(dict(self.sources), dict(self.modes), self._counter)
+    def _width(self, form: np.ndarray) -> int:
+        if len(form) > len(self.variances):
+            raise ValueError(f"form references unregistered source(s): "
+                             f"{len(form)} coefficients, {len(self.variances)} sources")
+        return len(form)
 
-    def _add_source(self, model: GaussianModel, variance: float, tag: str) -> str:
-        sid = f"{tag}:{model._counter}"
-        model._counter += 1
-        model.sources[sid] = SourceVariable(sid, variance)
-        return sid
-
-    def _check_registered(self, form: QuadratureForm) -> None:
-        for sid in form.coefficients:
-            if sid not in self.sources:
-                raise ValueError(f"form references unregistered source {sid!r}")
+    def _attach(
+        self, labels: tuple[str, ...], source_variances: list[float], block: np.ndarray
+    ) -> GaussianModel:
+        """Append sources and new modes whose (x, y) rows are ``block`` over those sources."""
+        n_rows, n_sources = self.rows.shape
+        rows = np.zeros((n_rows + len(block), n_sources + len(source_variances)))
+        rows[:n_rows, :n_sources] = self.rows
+        rows[n_rows:, n_sources:] = block
+        new = {label: n_rows + 2 * k for k, label in enumerate(labels)}
+        variances = np.concatenate((self.variances, source_variances))
+        return GaussianModel(variances, rows, self.labels | new)
 
     # -- operations ----------------------------------------------------------
 
     def add_vacuum_mode(self, label: str) -> GaussianModel:
         """Attach a fresh vacuum mode: unit variance on both quadratures."""
-        if label in self.modes:
+        if label in self.labels:
             raise ValueError(f"mode label {label!r} already in use")
-        out = self._clone()
-        sx = self._add_source(out, 1.0, "vac.x")
-        sy = self._add_source(out, 1.0, "vac.y")
-        out.modes[label] = Mode(QuadratureForm({sx: 1.0}), QuadratureForm({sy: 1.0}))
-        return out
+        return self._attach((label,), [1.0, 1.0], np.eye(2))
 
     def add_epr_pair(self, labels: tuple[str, str], r: float) -> GaussianModel:
         """Attach a two-mode squeezed pair with squeezing parameter ``r``.
@@ -172,61 +113,44 @@ class GaussianModel:
         la, lb = labels
         if r < 0:
             raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-        if la in self.modes or lb in self.modes or la == lb:
+        if la in self.labels or lb in self.labels or la == lb:
             raise ValueError(f"mode labels {labels!r} must be fresh and distinct")
-        out = self._clone()
-        x_sum = self._add_source(out, math.exp(-2.0 * r), "epr.xsum")
-        x_diff = self._add_source(out, math.exp(+2.0 * r), "epr.xdiff")
-        y_sum = self._add_source(out, math.exp(+2.0 * r), "epr.ysum")
-        y_diff = self._add_source(out, math.exp(-2.0 * r), "epr.ydiff")
-        k = 1.0 / _SQRT2
-        out.modes[la] = Mode(
-            QuadratureForm({x_sum: k, x_diff: k}),
-            QuadratureForm({y_sum: k, y_diff: k}),
-        )
-        out.modes[lb] = Mode(
-            QuadratureForm({x_sum: k, x_diff: -k}),
-            QuadratureForm({y_sum: k, y_diff: -k}),
-        )
-        return out
+        quiet, loud = math.exp(-2.0 * r), math.exp(+2.0 * r)
+        return self._attach(labels, [quiet, loud, loud, quiet], _EPR_ROWS)
 
     def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude: float) -> GaussianModel:
         """Mix two modes: x1' = t x1 + sqrt(1-t^2) x2, x2' = -sqrt(1-t^2) x1 + t x2.
 
-        Same rotation on the y quadratures. ``t = 1`` is an exact identity
-        on the stored forms.
+        Same rotation on the y quadratures. ``t = 1`` leaves every stored
+        coefficient unchanged.
         """
         t = transmittance_amplitude
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"transmittance amplitude must be in [0, 1], got {t}")
-        l1, l2 = labels
-        m1, m2 = self._mode(l1), self._mode(l2)
+        i, j = self._row(labels[0]), self._row(labels[1])
         rt = math.sqrt(1.0 - t * t)
-        out = self._clone()
-        out.modes[l1] = Mode(m1.x * t + m2.x * rt, m1.y * t + m2.y * rt)
-        out.modes[l2] = Mode(m1.x * -rt + m2.x * t, m1.y * -rt + m2.y * t)
-        return out
+        first, second = self.rows[i : i + 2], self.rows[j : j + 2]
+        rows = self.rows.copy()
+        rows[i : i + 2] = first * t + second * rt
+        rows[j : j + 2] = first * -rt + second * t
+        return GaussianModel(self.variances, rows, self.labels)
 
     def loss(self, label: str, xi: float) -> GaussianModel:
         """Amplitude transmission ``xi`` with fresh vacuum entering the open port."""
         if not 0.0 <= xi <= 1.0:
             raise ValueError(f"amplitude transmission must be in [0, 1], got {xi}")
-        mode = self._mode(label)
-        out = self._clone()
-        vx = self._add_source(out, 1.0, "vac.x")
-        vy = self._add_source(out, 1.0, "vac.y")
-        rt = math.sqrt(1.0 - xi * xi)
-        out.modes[label] = Mode(
-            mode.x * xi + QuadratureForm({vx: 1.0}) * rt,
-            mode.y * xi + QuadratureForm({vy: 1.0}) * rt,
-        )
-        return out
+        i = self._row(label)
+        rows = np.zeros((len(self.rows), len(self.variances) + 2))
+        rows[:, :-2] = self.rows
+        rows[i : i + 2] *= xi
+        rows[[i, i + 1], [-2, -1]] = math.sqrt(1.0 - xi * xi)
+        return GaussianModel(np.concatenate((self.variances, [1.0, 1.0])), rows, self.labels)
 
     def displace_by_form(
         self,
         label: str,
-        x_add: QuadratureForm,
-        y_add: QuadratureForm,
+        x_add: np.ndarray,
+        y_add: np.ndarray,
         gain: float,
     ) -> GaussianModel:
         """Add ``gain`` times the given forms to a mode's quadratures.
@@ -234,41 +158,26 @@ class GaussianModel:
         This is how classical feedforward of measured photocurrents is
         represented: the photocurrent is itself a form over the model's
         sources, so its correlations with every remaining mode survive
-        exactly.
+        exactly. A form taken before later sources were added is zero on
+        them.
         """
-        mode = self._mode(label)
-        self._check_registered(x_add)
-        self._check_registered(y_add)
-        out = self._clone()
-        out.modes[label] = Mode(mode.x + x_add * gain, mode.y + y_add * gain)
-        return out
+        i = self._row(label)
+        nx, ny = self._width(x_add), self._width(y_add)
+        rows = self.rows.copy()
+        rows[i, :nx] += x_add * gain
+        rows[i + 1, :ny] += y_add * gain
+        return GaussianModel(self.variances, rows, self.labels)
 
     # -- second moments ------------------------------------------------------
 
-    def covariance(self, f1: QuadratureForm, f2: QuadratureForm) -> float:
-        self._check_registered(f1)
-        self._check_registered(f2)
-        if len(f2.coefficients) < len(f1.coefficients):
-            f1, f2 = f2, f1
-        total = 0.0
-        for sid, c1 in f1.coefficients.items():
-            c2 = f2.coefficients.get(sid)
-            if c2 is not None:
-                total += c1 * c2 * self.sources[sid].variance
-        return total
+    def covariance(self, f1: np.ndarray, f2: np.ndarray) -> float:
+        k = min(self._width(f1), self._width(f2))
+        return float(f1[:k] * self.variances[:k] @ f2[:k])
 
-    def variance(self, form: QuadratureForm) -> float:
+    def variance(self, form: np.ndarray) -> float:
         return self.covariance(form, form)
 
     def covariance_matrix(self, labels: tuple[str, ...] | list[str]) -> np.ndarray:
-        """Symmetric covariance matrix of the listed modes in (x1, y1, x2, y2, ...) order."""
-        forms: list[QuadratureForm] = []
-        for label in labels:
-            mode = self._mode(label)
-            forms.extend((mode.x, mode.y))
-        n = len(forms)
-        sigma = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                sigma[i, j] = sigma[j, i] = self.covariance(forms[i], forms[j])
-        return sigma
+        """Covariance matrix of the listed modes in (x1, y1, x2, y2, ...) order."""
+        forms = self.rows[[self._row(label) + q for label in labels for q in (0, 1)]]
+        return forms * self.variances @ forms.T

@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import swap
-from .gaussian import GaussianModel, QuadratureForm
+from .gaussian import GaussianModel
 from .params import ExperimentParams
 
 RBW_HZ = 10_000.0
@@ -68,11 +68,11 @@ class TraceSeries:
 
 
 def estimate_variance(
-    model: GaussianModel, form: QuadratureForm, n: int, seed: int
+    model: GaussianModel, form: np.ndarray, n: int, seed: int
 ) -> tuple[float, float]:
     """Mean-square of ``n`` independent draws of the form, with standard error.
 
-    The form has zero mean by construction (classical offsets are excluded),
+    The form has zero mean by construction (every source is zero-mean),
     so the mean square is an unbiased variance estimate. Deterministic for a
     given seed; chunks use spawned child seeds and are combined in index
     order, so a parallel implementation would reproduce the same value.
@@ -102,10 +102,9 @@ def estimate_variance(
 
 def _trace_form(
     params: ExperimentParams, kind: str
-) -> tuple[GaussianModel, QuadratureForm]:
+) -> tuple[GaussianModel, np.ndarray]:
     if kind == "snl":
-        m = GaussianModel.empty().add_vacuum_mode("v1").add_vacuum_mode("v2")
-        return m, (m.x_form("v1") + m.x_form("v2")) * (1.0 / math.sqrt(2.0))
+        return swap.snl_network()
     if kind == "blocked":
         params = replace(params, channel_blocked=True)
     model, handles = swap.build_network(params)

@@ -18,36 +18,47 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import analytics
-from .gaussian import GaussianModel, QuadratureForm
+from .gaussian import GaussianModel
 from .params import ExperimentParams, VarianceReport
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkHandles:
-    """Labels and measurement forms exposed by :func:`build_network`."""
+    """Labels and measurement forms exposed by :func:`build_network`.
+
+    Compared by identity: the forms are arrays, which have no single truth
+    value for a field-by-field ``==``.
+    """
 
     mode_a: str
     mode_dprime: str
-    i_plus: QuadratureForm       # amplitude-sum photocurrent of the joint measurement
-    i_minus: QuadratureForm      # phase-difference photocurrent
-    victor_plus: QuadratureForm  # verification amplitude-sum current
-    victor_minus: QuadratureForm # verification phase-difference current
+    i_plus: np.ndarray        # amplitude-sum photocurrent of the joint measurement
+    i_minus: np.ndarray       # phase-difference photocurrent
+    victor_plus: np.ndarray   # verification amplitude-sum current
+    victor_minus: np.ndarray  # verification phase-difference current
     g_swap: float
     g_electronic: float
 
 
+def snl_network() -> tuple[GaussianModel, np.ndarray]:
+    """Two fresh vacua and the joint amplitude-sum current on them."""
+    m = GaussianModel.empty().add_vacuum_mode("v1").add_vacuum_mode("v2")
+    return m, (m.x_form("v1") + m.x_form("v2")) * (1.0 / _SQRT2)
+
+
 def snl_reference() -> float:
-    """Shot-noise normalization: the same joint current on two fresh vacua.
+    """Shot-noise normalization: the variance of :func:`snl_network`'s current.
 
     Computed, not assumed, so the verification variances stay correctly
     normalized even if the current convention changes.
     """
-    m = GaussianModel.empty().add_vacuum_mode("v1").add_vacuum_mode("v2")
-    form = (m.x_form("v1") + m.x_form("v2")) * (1.0 / _SQRT2)
-    return m.variance(form)
+    model, form = snl_network()
+    return model.variance(form)
 
 
 def resolve_gain(params: ExperimentParams) -> float:
@@ -140,17 +151,3 @@ def single_mode_noise(params: ExperimentParams, which: str) -> float:
     else:
         raise ValueError(f"unknown mode {which!r}: expected 'a' or 'dprime'")
     return model.variance(form) / snl_reference()
-
-
-def claire_currents(
-    model: GaussianModel, handles: NetworkHandles
-) -> tuple[QuadratureForm, QuadratureForm]:
-    """The two joint-measurement photocurrents as forms over the model's sources.
-
-    Raises if the handles do not belong to (a completion of) ``model``.
-    """
-    for form in (handles.i_plus, handles.i_minus):
-        for sid in form.coefficients:
-            if sid not in model.sources:
-                raise ValueError("joint-measurement stage missing from this model")
-    return handles.i_plus, handles.i_minus

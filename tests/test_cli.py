@@ -276,6 +276,18 @@ def test_verify_detects_corrupted_formula(config_path, capsys, monkeypatch):
     assert '"mirror_R": 0.98' in captured.err
 
 
+def test_verify_negative_random_with_config_is_config_error(config_path, capsys):
+    assert run(["verify", "--config", config_path, "--random", "-5"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: --random must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_negative_random_alone_is_config_error(capsys):
+    assert run(["verify", "--random", "-5"]) == EXIT_CONFIG
+    assert "config error: --random must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_negative_seed_is_config_error(capsys):
     assert run(["verify", "--random", "3", "--seed", "-1"]) == EXIT_CONFIG
     assert "config error: --seed must be >= 0" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cvswap import GaussianModel, QuadratureForm
+from cvswap import GaussianModel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,8 +105,8 @@ def test_epr_uncertainty_product_exact(r):
 def test_beamsplitter_full_transmission_is_identity():
     m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3)
     out = m.beamsplitter(("a", "b"), 1.0)
-    assert out.x_form("a") == m.x_form("a")
-    assert out.y_form("b") == m.y_form("b")
+    assert np.array_equal(out.x_form("a"), m.x_form("a"))
+    assert np.array_equal(out.y_form("b"), m.y_form("b"))
 
 
 def test_beamsplitter_5050_on_vacua():
@@ -161,8 +161,10 @@ def test_beamsplitter_preserves_total_variance(t, ra, rb):
 def test_loss_identity():
     m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.4)
     out = m.loss("a", 1.0)
-    assert out.x_form("a") == m.x_form("a")
-    assert out.y_form("a") == m.y_form("a")
+    n = m.variances.size
+    assert out.rows[:, :n].tobytes() == m.rows.tobytes()
+    assert not out.rows[:, n:].any()
+    assert out.variances.size == n + 2
 
 
 def test_loss_blackout_gives_vacuum():
@@ -196,7 +198,7 @@ def test_loss_bad_transmission_rejected():
 def test_displacement_zero_gain_is_identity():
     m = GaussianModel.empty().add_vacuum_mode("v1").add_vacuum_mode("v2")
     out = m.displace_by_form("v1", m.x_form("v2"), m.y_form("v2"), 0.0)
-    assert out.x_form("v1") == m.x_form("v1")
+    assert np.array_equal(out.x_form("v1"), m.x_form("v1"))
 
 
 def test_displacement_perfect_cancellation():
@@ -208,18 +210,18 @@ def test_displacement_perfect_cancellation():
 
 def test_displacement_unregistered_source_rejected():
     m = GaussianModel.empty().add_vacuum_mode("v1")
-    rogue = QuadratureForm({"nonexistent:99": 1.0})
+    rogue = np.ones(m.variances.size + 1)
     with pytest.raises(ValueError, match="unregistered source"):
         m.displace_by_form("v1", rogue, rogue, 1.0)
 
 
-def test_classical_offset_excluded_from_variance():
+def test_zero_form_displacement_is_bit_identical():
     m = GaussianModel.empty().add_vacuum_mode("v1")
-    shifted = m.displace_by_form(
-        "v1", QuadratureForm({}, 5.0), QuadratureForm({}, -2.0), 1.0
-    )
+    zero = np.zeros(m.variances.size)
+    shifted = m.displace_by_form("v1", zero, zero, 1.0)
+    assert shifted.rows.tobytes() == m.rows.tobytes()
+    assert shifted.variances.tobytes() == m.variances.tobytes()
     assert shifted.variance(shifted.x_form("v1")) == 1.0
-    assert shifted.x_form("v1").classical_offset == 5.0
 
 
 # -- second moments ---------------------------------------------------------------
@@ -227,7 +229,7 @@ def test_classical_offset_excluded_from_variance():
 
 def test_variance_of_empty_form_is_zero():
     m = GaussianModel.empty()
-    assert m.variance(QuadratureForm()) == 0.0
+    assert m.variance(np.zeros(0)) == 0.0
 
 
 def test_covariance_disjoint_sources_zero():
@@ -238,7 +240,7 @@ def test_covariance_disjoint_sources_zero():
 def test_variance_rejects_unregistered_source():
     m = GaussianModel.empty()
     with pytest.raises(ValueError, match="unregistered source"):
-        m.variance(QuadratureForm({"ghost:0": 1.0}))
+        m.variance(np.ones(1))
 
 
 def test_joint_variance_of_independent_pair_halves():
@@ -331,3 +333,56 @@ def test_model_operations_do_not_mutate_parent():
     m.displace_by_form("v1", -m.x_form("v1"), -m.y_form("v1"), 1.0)
     assert m.variance(m.x_form("v1")) == before
     assert m.mode_labels == ("v1",)
+
+
+def _every_element(m: GaussianModel) -> list[GaussianModel]:
+    return [
+        m.add_vacuum_mode("v"),
+        m.add_epr_pair(("e", "f"), 0.5),
+        m.beamsplitter(("a", "c"), 0.6),
+        m.loss("b", 0.7),
+        m.displace_by_form("d", m.x_form("a"), m.y_form("b"), 0.4),
+    ]
+
+
+def test_model_arrays_are_read_only():
+    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3)
+    for model in [m, *_every_element(m.add_epr_pair(("c", "d"), 0.2))]:
+        for array in (model.x_form("a"), model.y_form("b"), model.rows, model.variances):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+
+
+def test_elements_leave_parent_arrays_unchanged():
+    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3).add_epr_pair(("c", "d"), 0.9)
+    rows, variances, labels = m.rows.copy(), m.variances.copy(), dict(m.labels)
+    children = _every_element(m)
+    assert not any(np.array_equal(child.rows, rows) for child in children)
+    assert m.rows.tobytes() == rows.tobytes()
+    assert m.variances.tobytes() == variances.tobytes()
+    assert m.labels == labels
+
+
+def test_form_taken_before_later_loss_keeps_its_variance():
+    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.564).add_epr_pair(("c", "d"), 0.587)
+    current = (m.x_form("b") + m.x_form("c")) * (1 / SQRT2)
+    later = m.loss("b", 0.8).loss("d", 0.6)
+    assert later.variances.size > current.size
+    assert later.variance(current) == m.variance(current)
+    assert later.covariance(current, later.x_form("d")) == pytest.approx(
+        0.6 * m.covariance(current, m.x_form("d")), rel=1e-12
+    )
+    fed = later.displace_by_form("a", current, current, 1.0)
+    n = current.size
+    assert np.array_equal(fed.x_form("a")[:n], later.x_form("a")[:n] + current)
+    assert np.array_equal(fed.x_form("a")[n:], later.x_form("a")[n:])
+
+
+def test_covariance_matrix_matches_pairwise_covariance():
+    rng = np.random.default_rng(13)
+    m = _random_network(rng)
+    sigma = m.covariance_matrix(m.mode_labels)
+    forms = [f for label in m.mode_labels for f in (m.x_form(label), m.y_form(label))]
+    for i, fi in enumerate(forms):
+        for j, fj in enumerate(forms):
+            assert sigma[i, j] == pytest.approx(m.covariance(fi, fj), rel=1e-12, abs=1e-15)

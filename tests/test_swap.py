@@ -11,10 +11,8 @@ import pytest
 from cvswap import (
     ExperimentParams,
     GainSpec,
-    QuadratureForm,
     GaussianModel,
     build_network,
-    claire_currents,
     duan_verdict,
     run_experiment,
     single_mode_noise,
@@ -197,9 +195,8 @@ def test_claire_currents_vacuum_normalization():
         gain=GainSpec.fixed(0.0),
     )
     model, handles = build_network(params)
-    i_plus, i_minus = claire_currents(model, handles)
-    assert model.variance(i_plus) == pytest.approx(1.0, abs=1e-12)
-    assert model.variance(i_minus) == pytest.approx(1.0, abs=1e-12)
+    assert model.variance(handles.i_plus) == pytest.approx(1.0, abs=1e-12)
+    assert model.variance(handles.i_minus) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_claire_currents_lossless_value():
@@ -207,10 +204,9 @@ def test_claire_currents_lossless_value():
         xi1_sq=1, xi2_sq=1, xi3_sq=1, xi4_sq=1, eta_sq=1, gain=GainSpec.fixed(0.0)
     )
     model, handles = build_network(params)
-    i_plus, i_minus = claire_currents(model, handles)
     expected = (math.cosh(2 * 0.564) + math.cosh(2 * 0.587)) / 2
-    assert model.variance(i_plus) == pytest.approx(expected, rel=1e-12)
-    assert model.variance(i_minus) == pytest.approx(expected, rel=1e-12)
+    assert model.variance(handles.i_plus) == pytest.approx(expected, rel=1e-12)
+    assert model.variance(handles.i_minus) == pytest.approx(expected, rel=1e-12)
 
 
 def test_no_feedforward_means_no_entanglement(lab_params):
@@ -222,8 +218,16 @@ def test_no_feedforward_means_no_entanglement(lab_params):
 
 def test_claire_currents_stage_mismatch(lab_params):
     _, handles = build_network(lab_params)
-    with pytest.raises(ValueError, match="stage missing"):
-        claire_currents(GaussianModel.empty(), handles)
+    with pytest.raises(ValueError, match="unregistered source"):
+        GaussianModel.empty().variance(handles.i_plus)
+
+
+def test_network_handles_compare_by_identity(lab_params):
+    _, handles = build_network(lab_params)
+    _, rebuilt = build_network(lab_params)
+    assert handles == handles
+    assert handles != rebuilt
+    assert np.array_equal(handles.victor_plus, rebuilt.victor_plus)
 
 
 # -- invariants ------------------------------------------------------------------------
@@ -231,10 +235,9 @@ def test_claire_currents_stage_mismatch(lab_params):
 
 def test_local_displacement_changes_no_variance(lab_params):
     model, handles = build_network(lab_params)
-    offset_x = QuadratureForm({}, 3.7)
-    offset_y = QuadratureForm({}, -1.2)
-    shifted = model.displace_by_form("a", offset_x, offset_y, 1.0)
-    shifted = shifted.displace_by_form("d", offset_x, offset_y, 1.0)
+    zero = np.zeros(model.variances.size)
+    shifted = model.displace_by_form("a", zero, zero, 1.0)
+    shifted = shifted.displace_by_form("d", zero, zero, 1.0)
     victor_plus = (shifted.x_form("a") + shifted.x_form("d")) * (1 / SQRT2)
     victor_minus = (shifted.y_form("a") - shifted.y_form("d")) * (1 / SQRT2)
     assert shifted.variance(victor_plus) == model.variance(handles.victor_plus)
