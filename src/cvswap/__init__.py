@@ -30,7 +30,7 @@ from .swap import (
     snl_reference,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 __all__ = [
     "ConfigError",

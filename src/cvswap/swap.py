@@ -16,7 +16,7 @@ a and d are verified together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,13 +94,19 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
 
     # modulated auxiliary beam: vacuum fluctuations around a bright mean
     # (the mean only matters for intensity matching, never for variances),
-    # displaced by the photocurrents unless the classical channel is cut
+    # displaced by the photocurrents unless the classical channel is cut.
+    # The mirror passes d with t = sqrt(R) and the beam with sqrt(1 - t*t),
+    # which holds only a few digits of sqrt(1 - R) as R -> 1. The electronic
+    # gain is therefore set for the mirror as built, R' = t*t; set for R, it
+    # put the oracle 1.2e-9 off at R = 1 - 6e-8 and 12 % off at R = 1 - 1e-15.
     m = m.add_vacuum_mode("beta")
+    t_mirror = math.sqrt(params.mirror_R)
     g_electronic = 0.0
     if g_swap != 0.0:
-        g_electronic = analytics.gain_to_electronic(g_swap, params)
+        built = replace(params, mirror_R=t_mirror * t_mirror)
+        g_electronic = analytics.gain_to_electronic(g_swap, built)
         m = m.displace_by_form("beta", i_plus, i_minus, g_electronic)
-    m = m.beamsplitter(("d", "beta"), math.sqrt(params.mirror_R))
+    m = m.beamsplitter(("d", "beta"), t_mirror)
 
     # remaining transmissions and the verification detectors
     m = m.loss("a", params.xi3).loss("d", params.xi4)

@@ -133,6 +133,20 @@ def test_network_matches_formula_random_draws():
     assert worst < 1e-9
 
 
+def test_network_matches_formula_near_full_mirror():
+    # the feedforward port sqrt(1 - R) is small here, and the electronic gain
+    # divided by it must meet the port the network builds, not a nearby one
+    base = make_lab_params(gain=GainSpec.fixed(1.4))
+    worst = 0.0
+    for k in range(2, 16):
+        params = replace(base, mirror_R=1.0 - 10.0**-k)
+        report = run_experiment(params)
+        expected = variance_formula(params, report.g_swap_used)
+        worst = max(worst, abs(report.v_plus - expected) / expected,
+                    abs(report.v_minus - expected) / expected)
+    assert worst <= 1e-9
+
+
 def test_plus_and_minus_channels_agree():
     rng = np.random.default_rng(29)
     for _ in range(50):
