@@ -14,32 +14,42 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ExperimentParams
+from .params import ExperimentParams, any_draw, every_draw
 
 _LN10 = math.log(10.0)
 
 
-def variance_formula(params: ExperimentParams, g_swap: float) -> float:
+def variance_formula(params: ExperimentParams, g_swap):
     """Verification-stage variance (SNL units) at normalized feedforward gain ``g_swap``.
 
-    Identical for the amplitude-sum and phase-difference channels.
+    Identical for the amplitude-sum and phase-difference channels. On a batch
+    of draws ``g_swap`` holds one gain per draw and the result one variance
+    per draw.
     """
-    feedforward = _check_gains(params, g_swap, g_swap)
-    return _finite(_variance(params, params.r1, params.r2, g_swap, feedforward, math.exp))
+    feedforward = _check_gains(params, g_swap)
+    if params.batch_shape:
+        with np.errstate(**_RAISE):
+            return _variance(params, params.r1, params.r2, g_swap, feedforward, np)
+    return _finite(_variance(params, params.r1, params.r2, g_swap, feedforward, math))
 
 
 def optimal_gain(params: ExperimentParams) -> float:
-    """Normalized gain minimizing :func:`variance_formula`; 0 when nothing is squeezed."""
-    return _finite(_optimal_gain(params, params.r1, params.r2, math.exp))
+    """Normalized gain minimizing :func:`variance_formula`; 0 when nothing is squeezed.
+
+    Takes one parameter point, not a batch of draws.
+    """
+    return _finite(_optimal_gain(params, params.r1, params.r2, math))
 
 
 # -- the closed form ----------------------------------------------------------
 #
-# Written once for both scalar and grid use: r1, r2 and g_swap are either
-# floats (with exp = math.exp) or arrays that broadcast against each other
-# (with exp = np.exp). Either way a result outside floating-point range is an
+# Written once for scalar, grid and batch use: the parameters are either
+# floats (with xp = math) or arrays that broadcast against each other (with
+# xp = numpy). Either way a result outside floating-point range is an
 # ArithmeticError: scalar callers check the result (float * and / overflow to
-# inf silently), array callers evaluate under np.errstate(..., "raise").
+# inf silently), array callers evaluate under np.errstate(**_RAISE).
+
+_RAISE = dict(divide="raise", over="raise", invalid="raise")
 
 
 def _finite(value: float) -> float:
@@ -50,25 +60,27 @@ def _finite(value: float) -> float:
     return value
 
 
-def _check_gains(params: ExperimentParams, low, high) -> bool:
-    """Reject gains in [low, high] the closed form cannot take; True if any is nonzero."""
-    if low < 0:
-        raise ValueError(f"g_swap must be >= 0, got {low}")
-    if high > 0 and params.xi1 == 0:
+def _check_gains(params: ExperimentParams, g_swap):
+    """Reject gains the closed form cannot take; return where the gain is nonzero."""
+    if any_draw(g_swap < 0):
+        raise ValueError(f"g_swap must be >= 0, got {np.min(g_swap)}")
+    feedforward = g_swap > 0
+    if any_draw(feedforward & (params.xi1 == 0)):
         raise ValueError("xi1 = 0 with nonzero gain: feedforward noise term diverges")
-    return high > 0
+    return feedforward
 
 
-def _variance(params: ExperimentParams, r1, r2, g_swap, feedforward: bool, exp):
+def _variance(params: ExperimentParams, r1, r2, g_swap, feedforward, xp):
     """The verification-stage variance.
 
     The closed form keeps its specific efficiency dressing on purpose; do not
     "simplify" it, the network oracle guards the transcription.
-    ``feedforward`` says whether any gain is nonzero (see :func:`_check_gains`).
+    ``feedforward`` says where the gain is nonzero (see :func:`_check_gains`).
     """
     x1, x2, x3, x4 = params.xi1, params.xi2, params.xi3, params.xi4
     eta = params.eta
-    sqrt_r = math.sqrt(params.mirror_R)
+    sqrt_r = xp.sqrt(params.mirror_R)
+    exp = xp.exp
 
     v = (0.25 * (eta * x3 - g_swap * eta * x4) ** 2 * exp(2.0 * r1)
          + 0.25 * (sqrt_r * eta * x2 * x4 - g_swap * eta * x4) ** 2 * exp(2.0 * r2)
@@ -77,15 +89,18 @@ def _variance(params: ExperimentParams, r1, r2, g_swap, feedforward: bool, exp):
          + (1.0 - eta**2)
          + 0.5 * eta**2 * (2.0 - x3**2 - x4**2)
          + 0.5 * eta**2 * (1.0 - params.mirror_R * x2**2) * x4**2)
-    if feedforward:
-        v = v + g_swap**2 * (1.0 - eta**2 * x1**2) * x4**2 / x1**2
+    if any_draw(feedforward):
+        # xi1 = 0 only on draws without feedforward (see _check_gains), whose
+        # term is then 0 / 1 rather than 0 / 0
+        v = v + g_swap**2 * (1.0 - eta**2 * x1**2) * x4**2 / (x1**2 + (x1 == 0))
     return v
 
 
-def _optimal_gain(params: ExperimentParams, r1, r2, exp):
+def _optimal_gain(params: ExperimentParams, r1, r2, xp):
     """The gain minimizing :func:`_variance` at each (r1, r2)."""
     if params.xi4 == 0:
         raise ValueError("degenerate gain denominator (xi4 = 0): no beam to displace")
+    exp = xp.exp
     e2r1, e2r2 = exp(2.0 * r1), exp(2.0 * r2)
     e4r1, e4r2 = exp(4.0 * r1), exp(4.0 * r2)
     sqrt_r = math.sqrt(params.mirror_R)
@@ -102,13 +117,21 @@ def _optimal_gain(params: ExperimentParams, r1, r2, exp):
     return numerator / denominator
 
 
-def gain_to_electronic(g_swap: float, params: ExperimentParams) -> float:
-    """Electronic gain g realizing a normalized g_swap = sqrt(1-R)/sqrt(2) * eta * xi1 * g."""
-    if params.mirror_R >= 1.0:
+def gain_to_electronic(g_swap, params: ExperimentParams):
+    """Electronic gain g realizing a normalized g_swap = sqrt(1-R)/sqrt(2) * eta * xi1 * g.
+
+    Elementwise on a batch of draws. A zero ``g_swap`` maps to 0 and needs
+    no feedforward port, so such a draw may have mirror_R = 1.
+    """
+    unused = g_swap == 0.0
+    if not every_draw(unused | (params.mirror_R < 1.0)):
         raise ValueError("mirror_R = 1 leaves no feedforward port")
-    if params.eta == 0 or params.xi1 == 0:
+    if not every_draw(unused | ((params.eta != 0) & (params.xi1 != 0))):
         raise ValueError("eta and xi1 must be > 0 to set an electronic gain")
-    return math.sqrt(2.0) * g_swap / (math.sqrt(1.0 - params.mirror_R) * params.eta * params.xi1)
+    port = np.sqrt(1.0 - params.mirror_R) * params.eta * params.xi1
+    # a draw without gain divides 0 by port + 1, since its port may be closed
+    g = math.sqrt(2.0) * g_swap / (port + unused)
+    return g if isinstance(g, np.ndarray) else float(g)
 
 
 def electronic_to_gain(g: float, params: ExperimentParams) -> float:
@@ -226,8 +249,8 @@ def sweep_surface(
     if not ((r1s >= 0).all() and (r2s >= 0).all()):  # also rejects nan
         raise ValueError("squeezing parameters must be >= 0")
     r1, r2 = r1s[:, None], r2s[None, :]
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        gains = _optimal_gain(params, r1, r2, np.exp)
-        feedforward = _check_gains(params, gains.min(), gains.max())
-        values = _variance(params, r1, r2, gains, feedforward, np.exp)
+    with np.errstate(**_RAISE):
+        gains = _optimal_gain(params, r1, r2, np)
+        feedforward = _check_gains(params, gains)
+        values = _variance(params, r1, r2, gains, feedforward, np)
     return SweepGrid(r1s, r2s, values)

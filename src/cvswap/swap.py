@@ -11,10 +11,15 @@ Station map (mode labels): the pair (a, b) comes from the first squeezer and
 (c, d) from the second; b and c travel to the joint measurement, a and d stay
 with the end parties, and d picks up the feedforward displacement before both
 a and d are verified together.
+
+:func:`build_network` takes one parameter point or a batch of draws (see
+:class:`ExperimentParams`); a batch is one network over the batch axis of
+:class:`GaussianModel`, assembled by the same elements in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import analytics
 from .gaussian import GaussianModel
-from .params import ExperimentParams, VarianceReport
+from .params import ExperimentParams, VarianceReport, any_draw
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -41,8 +46,8 @@ class NetworkHandles:
     i_minus: np.ndarray       # phase-difference photocurrent
     victor_plus: np.ndarray   # verification amplitude-sum current
     victor_minus: np.ndarray  # verification phase-difference current
-    g_swap: float
-    g_electronic: float
+    g_swap: float | np.ndarray        # one per draw on a batch
+    g_electronic: float | np.ndarray
 
 
 def snl_network() -> tuple[GaussianModel, np.ndarray]:
@@ -51,18 +56,28 @@ def snl_network() -> tuple[GaussianModel, np.ndarray]:
     return m, (m.x_form("v1") + m.x_form("v2")) * (1.0 / _SQRT2)
 
 
+@functools.cache
 def snl_reference() -> float:
     """Shot-noise normalization: the variance of :func:`snl_network`'s current.
 
     Computed, not assumed, so the verification variances stay correctly
-    normalized even if the current convention changes.
+    normalized even if the current convention changes; computed once per
+    process, since it depends on no parameter.
     """
     model, form = snl_network()
     return model.variance(form)
 
 
-def resolve_gain(params: ExperimentParams) -> float:
-    """Normalized gain actually applied: 0 when blocked, else per the gain spec."""
+def resolve_gain(params: ExperimentParams):
+    """Normalized gain actually applied: 0 when blocked, else per the gain spec.
+
+    One gain per draw on a batch of draws, whose gain must be fixed.
+    """
+    if params.batch_shape:
+        if params.gain.mode == "optimal":
+            raise ValueError("a batch of draws needs a fixed gain")
+        gain = np.where(params.channel_blocked, 0.0, params.gain.value)
+        return np.broadcast_to(gain, params.batch_shape)
     if params.channel_blocked:
         return 0.0
     if params.gain.mode == "optimal":
@@ -100,9 +115,9 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     # gain is therefore set for the mirror as built, R' = t*t; set for R, it
     # put the oracle 1.2e-9 off at R = 1 - 6e-8 and 12 % off at R = 1 - 1e-15.
     m = m.add_vacuum_mode("beta")
-    t_mirror = math.sqrt(params.mirror_R)
+    t_mirror = np.sqrt(params.mirror_R)
     g_electronic = 0.0
-    if g_swap != 0.0:
+    if any_draw(g_swap != 0.0):
         built = replace(params, mirror_R=t_mirror * t_mirror)
         g_electronic = analytics.gain_to_electronic(g_swap, built)
         m = m.displace_by_form("beta", i_plus, i_minus, g_electronic)
@@ -126,12 +141,22 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     return m, handles
 
 
-def run_experiment(params: ExperimentParams) -> VarianceReport:
-    """Build the network and report SNL-normalized verification variances."""
+def verification_variances(params: ExperimentParams):
+    """SNL-normalized ``(v_plus, v_minus, g_swap)`` of the network oracle.
+
+    ``g_swap`` is the gain applied; on a batch of draws each is one array
+    over the draws.
+    """
     model, handles = build_network(params)
     norm = snl_reference()
     v_plus = model.variance(handles.victor_plus) / norm
     v_minus = model.variance(handles.victor_minus) / norm
+    return v_plus, v_minus, handles.g_swap
+
+
+def run_experiment(params: ExperimentParams) -> VarianceReport:
+    """Build the network and report SNL-normalized verification variances."""
+    v_plus, v_minus, g_swap = verification_variances(params)
     entangled, _ = analytics.duan_verdict(v_plus, v_minus)
     return VarianceReport(
         v_plus=v_plus,
@@ -139,7 +164,7 @@ def run_experiment(params: ExperimentParams) -> VarianceReport:
         v_plus_db=analytics.db_from_linear(v_plus),
         v_minus_db=analytics.db_from_linear(v_minus),
         entangled=entangled,
-        g_swap_used=handles.g_swap,
+        g_swap_used=g_swap,
     )
 
 

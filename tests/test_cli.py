@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from dataclasses import replace
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import cvswap.analytics
-from cvswap import ConfigFile
-from cvswap.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, main
+from cvswap import ConfigFile, ExperimentParams, GainSpec
+from cvswap.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, VERIFY_CHUNK, main
 
 
 @pytest.fixture
@@ -274,6 +275,46 @@ def test_verify_detects_corrupted_formula(config_path, capsys, monkeypatch):
     assert captured.out.startswith("FAIL")
     assert "offending parameter set" in captured.err
     assert '"mirror_R": 0.98' in captured.err
+
+
+def scalar_draws(seed: int, n: int) -> list[ExperimentParams]:
+    """verify's random draws as nine scalar uniform calls per draw, in field order."""
+    rng = np.random.default_rng(seed)
+    return [
+        ExperimentParams(
+            r1=rng.uniform(0.0, 1.5), r2=rng.uniform(0.0, 1.5),
+            xi1=rng.uniform(0.5, 1.0), xi2=rng.uniform(0.5, 1.0),
+            xi3=rng.uniform(0.5, 1.0), xi4=rng.uniform(0.5, 1.0),
+            eta=rng.uniform(0.5, 1.0), mirror_R=rng.uniform(0.9, 1.0),
+            gain=GainSpec.fixed(rng.uniform(0.0, 1.5)),
+        )
+        for _ in range(n)
+    ]
+
+
+def test_verify_names_the_failing_draw_past_a_chunk_boundary(capsys, monkeypatch):
+    assert VERIFY_CHUNK <= 700  # draw 700 is checked in a later chunk than draw 0
+    target = scalar_draws(7, 1500)[700]
+    true_formula = cvswap.analytics.variance_formula
+
+    def corrupted(params, g_swap):
+        value = true_formula(params, g_swap)
+        return np.where(params.r1 == target.r1, value * 1.000001, value)
+
+    monkeypatch.setattr(cvswap.analytics, "variance_formula", corrupted)
+    assert run(["verify", "--random", "1500", "--seed", "7"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL")
+    assert "over 1500 point(s)" in captured.out
+    offending = json.loads(captured.err.split("offending parameter set:", 1)[1])
+    assert offending == dataclasses.asdict(target)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_verify_counts_points_across_chunks(capsys, extra):
+    n = VERIFY_CHUNK + extra
+    assert run(["verify", "--random", str(n), "--seed", "3"]) == EXIT_OK
+    assert f"over {n} point(s)" in capsys.readouterr().out
 
 
 def test_verify_negative_random_with_config_is_config_error(config_path, capsys):

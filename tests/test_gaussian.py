@@ -335,32 +335,38 @@ def test_model_operations_do_not_mutate_parent():
     assert m.mode_labels == ("v1",)
 
 
-def _every_element(m: GaussianModel) -> list[GaussianModel]:
+# element parameters are scaled by one float, or by one value per draw of a batch
+ONE_POINT_AND_BATCH = [1.0, np.array([1.0, 0.5, 0.0])]
+
+
+def _every_element(m: GaussianModel, scale=1.0) -> list[GaussianModel]:
     return [
         m.add_vacuum_mode("v"),
-        m.add_epr_pair(("e", "f"), 0.5),
-        m.beamsplitter(("a", "c"), 0.6),
-        m.loss("b", 0.7),
-        m.displace_by_form("d", m.x_form("a"), m.y_form("b"), 0.4),
+        m.add_epr_pair(("e", "f"), 0.5 * scale),
+        m.beamsplitter(("a", "c"), 0.6 * scale),
+        m.loss("b", 0.7 * scale),
+        m.displace_by_form("d", m.x_form("a"), m.y_form("b"), 0.4 * scale),
     ]
 
 
 def test_model_arrays_are_read_only():
-    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3)
-    for model in [m, *_every_element(m.add_epr_pair(("c", "d"), 0.2))]:
-        for array in (model.x_form("a"), model.y_form("b"), model.rows, model.variances):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 7.0
+    for scale in ONE_POINT_AND_BATCH:
+        m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3 * scale)
+        for model in [m, *_every_element(m.add_epr_pair(("c", "d"), 0.2), scale)]:
+            for array in (model.x_form("a"), model.y_form("b"), model.rows, model.variances):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 7.0
 
 
 def test_elements_leave_parent_arrays_unchanged():
-    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3).add_epr_pair(("c", "d"), 0.9)
-    rows, variances, labels = m.rows.copy(), m.variances.copy(), dict(m.labels)
-    children = _every_element(m)
-    assert not any(np.array_equal(child.rows, rows) for child in children)
-    assert m.rows.tobytes() == rows.tobytes()
-    assert m.variances.tobytes() == variances.tobytes()
-    assert m.labels == labels
+    for scale in ONE_POINT_AND_BATCH:
+        m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3 * scale).add_epr_pair(("c", "d"), 0.9)
+        rows, variances, labels = m.rows.copy(), m.variances.copy(), dict(m.labels)
+        children = _every_element(m, scale)
+        assert not any(np.array_equal(child.rows, rows) for child in children)
+        assert m.rows.tobytes() == rows.tobytes()
+        assert m.variances.tobytes() == variances.tobytes()
+        assert m.labels == labels
 
 
 def test_form_taken_before_later_loss_keeps_its_variance():

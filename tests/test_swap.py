@@ -19,6 +19,8 @@ from cvswap import (
     snl_reference,
     variance_formula,
 )
+from cvswap.cli import DRAW_HIGH, DRAW_LOW
+from cvswap.swap import verification_variances
 from conftest import make_lab_params
 
 SQRT2 = math.sqrt(2.0)
@@ -52,6 +54,29 @@ def test_params_validation():
         make_lab_params(mirror_R=-0.5)
     with pytest.raises(ValueError, match="enl_db"):
         make_lab_params(enl_db=0.0)
+
+
+def test_batch_params_validation():
+    lab = make_lab_params()
+    ones = np.ones(3)
+    fields = {name: getattr(lab, name) * ones
+              for name in ("r1", "r2", "xi1", "xi2", "xi3", "xi4", "eta", "mirror_R")}
+    assert ExperimentParams(**fields).batch_shape == (3,)
+    with pytest.raises(ValueError, match="fixed gain"):
+        build_network(ExperimentParams(**fields))  # the optimal gain is one-point only
+    # each check applies to every draw, with the message of the one-point check
+    for name, bad, message in (("r2", -0.1, "squeezing"), ("xi3", 1.2, "xi3"),
+                               ("mirror_R", np.nan, "mirror_R")):
+        column = fields[name].copy()
+        column[1] = bad
+        with pytest.raises(ValueError, match=message):
+            ExperimentParams(**(fields | {name: column}))
+    with pytest.raises(ValueError, match="value"):
+        ExperimentParams(**fields, gain=GainSpec("fixed", np.array([0.5, -0.1, 0.5])))
+    for mismatch in ({"eta": lab.eta * np.ones(2)}, {"eta": lab.eta},
+                     {"channel_blocked": np.zeros(2, bool)}):
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            ExperimentParams(**(fields | mismatch))
 
 
 def test_gain_spec_validation():
@@ -131,6 +156,43 @@ def test_network_matches_formula_random_draws():
             abs(report.v_minus - expected) / expected,
         )
     assert worst < 1e-9
+
+
+def test_batch_matches_each_draw_bit_for_bit():
+    rng = np.random.default_rng(41)
+    draws = rng.uniform(DRAW_LOW, DRAW_HIGH, size=(200, 9))
+    draws[0, 8] = 0.0                      # no feedforward
+    draws[1, 7], draws[1, 8] = 1.0, 0.0    # full mirror, zero gain
+    draws[2, :2] = 0.0                     # r1 = r2 = 0
+    blocked = np.arange(200) == 3          # classical channel cut
+    *physics, g_swap = draws.T
+    batch = ExperimentParams(*physics, gain=GainSpec("fixed", g_swap), channel_blocked=blocked)
+    model, handles = build_network(batch)
+    v_plus, v_minus = model.variance(handles.victor_plus), model.variance(handles.victor_minus)
+    assert v_plus.shape == v_minus.shape == (200,)
+    for k, row in enumerate(draws.tolist()):
+        *physics, g_swap = row
+        one = ExperimentParams(*physics, gain=GainSpec.fixed(g_swap), channel_blocked=bool(blocked[k]))
+        m, h = build_network(one)
+        assert m.variance(h.victor_plus) == v_plus[k]
+        assert m.variance(h.victor_minus) == v_minus[k]
+        assert h.g_swap == handles.g_swap[k]
+
+
+def test_network_matches_formula_wide_squeezing():
+    # ROADMAP item 4: r1, r2 up to 40, verify's ranges elsewhere, the batched oracle
+    rng = np.random.default_rng(43)
+    high = DRAW_HIGH.copy()
+    high[:2] = 40.0
+    draws = rng.uniform(DRAW_LOW, high, size=(2000, 9))
+    draws[:3, :2] = [[0.0, 40.0], [40.0, 0.0], [40.0, 40.0]]
+    *physics, g_swap = draws.T
+    params = ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))
+    v_plus, v_minus, g_used = verification_variances(params)
+    expected = variance_formula(params, g_used)
+    worst = max(np.max(abs(v_plus - expected) / expected),
+                np.max(abs(v_minus - expected) / expected))
+    assert worst <= 1e-9
 
 
 def test_network_matches_formula_near_full_mirror():
