@@ -7,12 +7,9 @@ transmission losses, detector efficiency, and classical feedforward gain.
 
 from .analytics import (
     db_from_linear,
-    db_from_r,
     duan_verdict,
-    electronic_to_gain,
     enl_correct,
     gain_to_electronic,
-    linear_from_db,
     optimal_gain,
     preserved_fraction,
     r_from_db,
@@ -30,7 +27,7 @@ from .swap import (
     snl_reference,
 )
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 __all__ = [
     "ConfigError",
@@ -41,13 +38,10 @@ __all__ = [
     "VarianceReport",
     "build_network",
     "db_from_linear",
-    "db_from_r",
     "duan_verdict",
-    "electronic_to_gain",
     "enl_correct",
     "estimate_variance",
     "gain_to_electronic",
-    "linear_from_db",
     "optimal_gain",
     "preserved_fraction",
     "r_from_db",

@@ -134,22 +134,13 @@ def gain_to_electronic(g_swap, params: ExperimentParams):
     return g if isinstance(g, np.ndarray) else float(g)
 
 
-def electronic_to_gain(g: float, params: ExperimentParams) -> float:
-    """Inverse of :func:`gain_to_electronic`."""
-    if params.mirror_R >= 1.0:
-        raise ValueError("mirror_R = 1 leaves no feedforward port")
-    if params.eta == 0 or params.xi1 == 0:
-        raise ValueError("eta and xi1 must be > 0 to set an electronic gain")
-    return math.sqrt(1.0 - params.mirror_R) * params.eta * params.xi1 * g / math.sqrt(2.0)
-
-
 # -- unit conversions --------------------------------------------------------
 #
 # Two dB conventions coexist, both standard on the bench:
-#   * db_from_linear / linear_from_db use signed dB relative to SNL
-#     (negative = below shot noise), matching VarianceReport.
-#   * r_from_db / db_from_r and enl_correct quote a positive *depth below
-#     SNL*, the way squeezing levels are reported: exp(-2r) = 10^(-dB/10).
+#   * db_from_linear uses signed dB relative to SNL (negative = below shot
+#     noise), matching VarianceReport.
+#   * r_from_db and enl_correct quote a positive *depth below SNL*, the way
+#     squeezing levels are reported: exp(-2r) = 10^(-dB/10).
 
 
 def db_from_linear(v: float) -> float:
@@ -158,20 +149,10 @@ def db_from_linear(v: float) -> float:
     return 10.0 * math.log10(v)
 
 
-def linear_from_db(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 def r_from_db(db: float) -> float:
     if db < 0:
         raise ValueError(f"squeezing depth must be >= 0 dB below SNL, got {db}")
     return db * _LN10 / 20.0
-
-
-def db_from_r(r: float) -> float:
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    return 20.0 * r / _LN10
 
 
 def enl_correct(v_meas_db_below_snl: float, enl_db_below_snl: float) -> float:
@@ -224,13 +205,6 @@ class SweepGrid:
     r1_values: np.ndarray
     r2_values: np.ndarray
     values: np.ndarray  # shape (len(r1_values), len(r2_values)), linear SNL units
-
-    def __post_init__(self) -> None:
-        self.r1_values = np.asarray(self.r1_values, dtype=float)
-        self.r2_values = np.asarray(self.r2_values, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.r1_values.size, self.r2_values.size):
-            raise ValueError("grid shape does not match axis lengths")
 
 
 def sweep_surface(

@@ -61,7 +61,6 @@ def _fmt_db(v: float) -> str:
 
 def _predict_payload(params: ExperimentParams) -> dict:
     report = swap.run_experiment(params)
-    entangled, margin = analytics.duan_verdict(report.v_plus, report.v_minus)
     payload: dict = {
         "g_swap": report.g_swap_used,
         "gain_mode": "blocked" if params.channel_blocked else params.gain.mode,
@@ -69,8 +68,8 @@ def _predict_payload(params: ExperimentParams) -> dict:
         "v_minus": report.v_minus,
         "v_plus_db": report.v_plus_db,
         "v_minus_db": report.v_minus_db,
-        "entangled": entangled,
-        "margin": margin,
+        "entangled": report.entangled,
+        "margin": report.margin,
     }
     if report.g_swap_used > 0 and params.mirror_R < 1:
         payload["g_electronic"] = analytics.gain_to_electronic(report.g_swap_used, params)
@@ -136,8 +135,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
     for flag, bounds in (("--r1", args.r1), ("--r2", args.r2)):
-        if not all(map(math.isfinite, bounds)):
-            raise ConfigError(f"{flag} bounds must be finite, got {bounds[0]} {bounds[1]}")
+        if not all(math.isfinite(b) and b >= 0 for b in bounds):
+            raise ConfigError(f"{flag} bounds must be finite and >= 0, "
+                              f"got {bounds[0]} {bounds[1]}")
     r1s = np.linspace(args.r1[0], args.r1[1], args.steps)
     r2s = np.linspace(args.r2[0], args.r2[1], args.steps)
     grid = analytics.sweep_surface(params, r1s, r2s)

@@ -103,10 +103,6 @@ class GaussianModel:
     def batch_shape(self) -> tuple[int, ...]:
         return self.variances.shape[:-1]
 
-    @property
-    def mode_labels(self) -> tuple[str, ...]:
-        return tuple(self.labels)
-
     def x_form(self, label: str) -> np.ndarray:
         return self.rows[..., self._row(label), :]
 

@@ -56,12 +56,9 @@ class TraceSeries:
     def db_values(self) -> np.ndarray:
         return np.array([db for _, db in self.samples])
 
-    def linear_points(self) -> np.ndarray:
-        return 10.0 ** (self.db_values() / 10.0)
-
     def linear_mean(self) -> float:
         """Pooled variance estimate: mean of the per-point linear averages."""
-        return float(self.linear_points().mean())
+        return float((10.0 ** (self.db_values() / 10.0)).mean())
 
     def pooled_db(self) -> float:
         return 10.0 * math.log10(self.linear_mean())

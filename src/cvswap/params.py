@@ -35,8 +35,10 @@ class GainSpec:
         if self.mode not in ("optimal", "fixed"):
             raise ValueError(f"gain mode must be 'optimal' or 'fixed', got {self.mode!r}")
         if self.mode == "fixed":
-            if self.value is None or any_draw(self.value < 0):
-                raise ValueError("fixed gain requires a value >= 0")
+            if self.value is None:
+                raise ValueError("fixed gain requires a value")
+            if not every_draw(self.value >= 0):
+                raise ValueError(f"gain.value: must be >= 0, got {self.value}")
         elif self.value is not None:
             raise ValueError("optimal gain takes no value")
 
@@ -52,7 +54,7 @@ class GainSpec:
 def check_unit(name: str, value) -> None:
     """Reject a value (or any draw of a batch) outside [0, 1], nan included."""
     if not every_draw((0.0 <= value) & (value <= 1.0)):
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+        raise ValueError(f"{name}: must be in [0, 1], got {value}")
 
 
 def _shape(value) -> tuple[int, ...]:
@@ -98,8 +100,10 @@ class ExperimentParams:
         if len(batch) > 1 or shapes != {batch}:
             raise ValueError("parameter fields must be floats or equal-length 1-D arrays, "
                              f"got shapes {sorted(shapes)}")
-        if any_draw(self.r1 < 0) or any_draw(self.r2 < 0):
-            raise ValueError(f"squeezing parameters must be >= 0, got r1={self.r1}, r2={self.r2}")
+        for name in _NUMERIC_FIELDS[:2]:
+            value = getattr(self, name)
+            if not every_draw(value >= 0):
+                raise ValueError(f"squeezing.{name}: must be >= 0, got {value}")
         for name in _NUMERIC_FIELDS[2:]:
             check_unit(name, getattr(self, name))
         if self.enl_db is not None and not every_draw(self.enl_db > 0):
@@ -164,4 +168,5 @@ class VarianceReport:
     v_plus_db: float
     v_minus_db: float
     entangled: bool
+    margin: float  # 1 - max(v_plus, v_minus), see analytics.duan_verdict
     g_swap_used: float

@@ -46,8 +46,7 @@ class NetworkHandles:
     i_minus: np.ndarray       # phase-difference photocurrent
     victor_plus: np.ndarray   # verification amplitude-sum current
     victor_minus: np.ndarray  # verification phase-difference current
-    g_swap: float | np.ndarray        # one per draw on a batch
-    g_electronic: float | np.ndarray
+    g_swap: float | np.ndarray  # one per draw on a batch
 
 
 def snl_network() -> tuple[GaussianModel, np.ndarray]:
@@ -116,7 +115,6 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     # put the oracle 1.2e-9 off at R = 1 - 6e-8 and 12 % off at R = 1 - 1e-15.
     m = m.add_vacuum_mode("beta")
     t_mirror = np.sqrt(params.mirror_R)
-    g_electronic = 0.0
     if any_draw(g_swap != 0.0):
         built = replace(params, mirror_R=t_mirror * t_mirror)
         g_electronic = analytics.gain_to_electronic(g_swap, built)
@@ -136,7 +134,6 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
         victor_plus=(m.x_form("a") + m.x_form("d")) * k,
         victor_minus=(m.y_form("a") - m.y_form("d")) * k,
         g_swap=g_swap,
-        g_electronic=g_electronic,
     )
     return m, handles
 
@@ -157,13 +154,14 @@ def verification_variances(params: ExperimentParams):
 def run_experiment(params: ExperimentParams) -> VarianceReport:
     """Build the network and report SNL-normalized verification variances."""
     v_plus, v_minus, g_swap = verification_variances(params)
-    entangled, _ = analytics.duan_verdict(v_plus, v_minus)
+    entangled, margin = analytics.duan_verdict(v_plus, v_minus)
     return VarianceReport(
         v_plus=v_plus,
         v_minus=v_minus,
         v_plus_db=analytics.db_from_linear(v_plus),
         v_minus_db=analytics.db_from_linear(v_minus),
         entangled=entangled,
+        margin=margin,
         g_swap_used=g_swap,
     )
 

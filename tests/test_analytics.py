@@ -14,12 +14,9 @@ from cvswap import (
     ExperimentParams,
     GainSpec,
     db_from_linear,
-    db_from_r,
     duan_verdict,
-    electronic_to_gain,
     enl_correct,
     gain_to_electronic,
-    linear_from_db,
     optimal_gain,
     preserved_fraction,
     r_from_db,
@@ -148,17 +145,17 @@ def test_electronic_gain_value(lab_params):
 
 
 def test_gain_roundtrip_exact(lab_params):
+    p = lab_params
     for g_swap in (0.0, 0.3, 0.74, 1.4):
-        g = gain_to_electronic(g_swap, lab_params)
-        assert electronic_to_gain(g, lab_params) == pytest.approx(g_swap, abs=1e-12)
+        g = gain_to_electronic(g_swap, p)
+        back = math.sqrt(1.0 - p.mirror_R) * p.eta * p.xi1 * g / math.sqrt(2.0)
+        assert back == pytest.approx(g_swap, abs=1e-12)
 
 
 def test_gain_conversion_full_mirror_rejected(lab_params):
     sealed = replace(lab_params, mirror_R=1.0)
     with pytest.raises(ValueError, match="feedforward port"):
         gain_to_electronic(0.5, sealed)
-    with pytest.raises(ValueError, match="feedforward port"):
-        electronic_to_gain(5.0, sealed)
 
 
 # -- dB / r conversions ---------------------------------------------------------
@@ -166,9 +163,8 @@ def test_gain_conversion_full_mirror_rejected(lab_params):
 
 def test_r_from_db_reference_points():
     assert r_from_db(4.9) == pytest.approx(0.564, abs=1e-3)
-    assert db_from_r(0.587) == pytest.approx(5.1, abs=1e-2)
+    assert 20.0 * 0.587 / math.log(10.0) == pytest.approx(5.1, abs=1e-2)
     assert db_from_linear(1.0) == 0.0
-    assert linear_from_db(0.0) == 1.0
 
 
 def test_db_conversion_rejections():
@@ -178,18 +174,16 @@ def test_db_conversion_rejections():
         db_from_linear(-2.0)
     with pytest.raises(ValueError):
         r_from_db(-1.0)
-    with pytest.raises(ValueError):
-        db_from_r(-0.2)
 
 
 @given(st.floats(min_value=-30.0, max_value=30.0))
 def test_linear_db_roundtrip(db):
-    assert db_from_linear(linear_from_db(db)) == pytest.approx(db, abs=1e-12)
+    assert db_from_linear(10.0 ** (db / 10.0)) == pytest.approx(db, abs=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=3.0))
 def test_r_db_roundtrip(r):
-    assert r_from_db(db_from_r(r)) == pytest.approx(r, abs=1e-12)
+    assert r_from_db(20.0 * r / math.log(10.0)) == pytest.approx(r, abs=1e-12)
 
 
 @given(st.floats(min_value=0.01, max_value=20.0))

@@ -75,7 +75,7 @@ def test_predict_zero_squeezing_not_entangled(tmp_path, lab_config_text, capsys)
 def test_predict_writes_csv(config_path, tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert run(["predict", "--config", config_path, "--out", str(out)]) == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 1
     assert float(rows[0]["v_plus"]) == pytest.approx(0.718797, abs=1e-5)
 
@@ -136,6 +136,35 @@ def test_predict_extreme_squeezing_exits_cleanly(
     assert "Traceback" not in err
 
 
+_SQ_KEYS = ("xi1_sq: 0.970", "xi2_sq: 0.950", "xi3_sq: 0.966", "xi4_sq: 0.968", "eta_sq: 0.90")
+
+
+@pytest.mark.parametrize(
+    ("line", "edit", "message"),
+    [
+        ("r1: 0.564", "r1: -0.1", "squeezing.r1: must be >= 0"),
+        ("r1: 0.564", "r1_db: -3", "squeezing depth must be >= 0"),
+        *[(line, line.split(":")[0] + f": {bad}", line.split(":")[0] + ": must be in [0, 1]")
+          for line in _SQ_KEYS for bad in (-0.1, 1.2)],
+        ("mirror_R: 0.98", "mirror_R: -0.5", "mirror_R: must be in [0, 1]"),
+        ("mirror_R: 0.98", "mirror_R: 1.5", "mirror_R: must be in [0, 1]"),
+        ("mode: optimal", "mode: fixed\n  value: -0.5", "gain.value: must be >= 0"),
+        ("enl_db: 11.3", "enl_db: 0", "enl_db must be a positive dB depth"),
+        ("enl_db: 11.3", "enl_db: -3", "enl_db must be a positive dB depth"),
+        pytest.param("mirror_R: 0.98", "mirror_R: 1" + "0" * 400,
+                     "mirror_R: expected a finite number", id="mirror_R-401-digit-integer"),
+    ],
+)
+def test_config_range_error_exits_2(tmp_path, lab_config_text, capsys, line, edit, message):
+    path = tmp_path / "range.yaml"
+    path.write_text(lab_config_text.replace(line, edit))
+    assert run(["predict", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 # -- optimal-gain ------------------------------------------------------------------
 
 
@@ -160,7 +189,7 @@ def test_sweep_grid(config_path, tmp_path, capsys):
         "--r1", "0.564", "1.0", "--r2", "0.587", "1.0",
         "--steps", "3", "--out", str(out),
     ]) == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 9  # steps squared
     star = [r for r in rows if float(r["r1"]) == 0.564 and float(r["r2"]) == 0.587]
     assert len(star) == 1
@@ -204,7 +233,7 @@ def test_sweep_csv_format_and_values(config_path, tmp_path):
             writer.writerow([repr(float(r1)), repr(float(r2)), repr(float(grid.values[i, j]))])
     assert out.read_bytes() == expected.getvalue().encode()
     # the broadcast values may differ from the scalar path only in the last ulp
-    rows = list(csv.reader(out.open(newline="")))[1:]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
     for row in rows:
         r1, r2, value = map(float, row)
         point = replace(params, r1=r1, r2=r2)
@@ -241,6 +270,18 @@ def test_sweep_non_finite_axis_is_config_error(config_path, tmp_path, capsys, bo
         "--steps", "3", "--out", str(out),
     ]) == EXIT_CONFIG
     assert "config error: --r2 bounds must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--r1", "--r2"])
+def test_sweep_negative_axis_is_config_error(config_path, tmp_path, capsys, flag):
+    out = tmp_path / "grid.csv"
+    axes = {"--r1": ["0", "1"], "--r2": ["0", "1"]} | {flag: ["-1", "1"]}
+    assert run([
+        "sweep", "--config", config_path, "--r1", *axes["--r1"], "--r2", *axes["--r2"],
+        "--steps", "3", "--out", str(out),
+    ]) == EXIT_CONFIG
+    assert f"config error: {flag} bounds must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,12 +1,14 @@
-"""Config schema: strict parsing, conversions, roundtrips."""
+"""Config schema: strict parsing into the parameter records."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from cvswap import ConfigError, ConfigFile, r_from_db, run_experiment
+from cvswap import ConfigError, ConfigFile, GainSpec, r_from_db, run_experiment
+from conftest import make_lab_params
 
 
 def parse(text: str) -> ConfigFile:
@@ -128,19 +130,31 @@ def test_json_document_also_parses():
         '"efficiencies": {"xi1_sq": 0.97, "xi2_sq": 0.95, "xi3_sq": 0.966, '
         '"xi4_sq": 0.968, "eta_sq": 0.9}, "mirror_R": 0.98, "gain": {"mode": "optimal"}}'
     )
-    assert cfg.mirror_R == 0.98
+    assert cfg.to_params().mirror_R == 0.98
 
 
 @pytest.mark.parametrize(
-    "mutation",
+    ("mutation", "changes"),
     [
-        lambda t: t,  # r-specified, optimal gain, enl present
-        lambda t: t.replace("r1: 0.564", "r1_db: 4.9"),
-        lambda t: t.replace("mode: optimal", "mode: fixed\n  value: 0.74"),
-        lambda t: t + "blocked: true\n",
-        lambda t: t.replace("enl_db: 11.3\n", ""),
+        (lambda t: t, {}),  # r-specified, optimal gain, enl present
+        (lambda t: t.replace("r1: 0.564", "r1_db: 4.9"), {"r1": r_from_db(4.9)}),
+        (lambda t: t.replace("mode: optimal", "mode: fixed\n  value: 0.74"),
+         {"gain": GainSpec.fixed(0.74)}),
+        (lambda t: t + "blocked: true\n", {"channel_blocked": True}),
+        (lambda t: t.replace("enl_db: 11.3\n", ""), {"enl_db": None}),
     ],
+    ids=["r", "r_db", "fixed_gain", "blocked", "no_enl"],
 )
-def test_parse_serialize_roundtrip(lab_config_text, mutation):
-    cfg = parse(mutation(lab_config_text))
-    assert ConfigFile.from_dict(cfg.to_dict()) == cfg
+def test_parse_documents_to_params(lab_config_text, mutation, changes):
+    expected = replace(make_lab_params(enl_db=11.3), **changes)
+    assert parse(mutation(lab_config_text)).to_params() == expected
+
+
+@pytest.mark.parametrize("line", ["mirror_R: 0.98", "enl_db: 11.3"])
+def test_huge_integer_is_config_error(lab_config_text, line):
+    key = line.split(":")[0]
+    with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+        parse(lab_config_text.replace(line, f"{key}: 1{'0' * 400}"))
+    # past Python's 4300-digit limit the YAML reader itself rejects the integer
+    with pytest.raises(ConfigError, match="config syntax error"):
+        parse(lab_config_text.replace(line, f"{key}: {'1' * 5000}"))

@@ -294,7 +294,7 @@ def test_covariance_matrix_symmetric_psd_and_physical():
     rng = np.random.default_rng(11)
     for _ in range(20):
         m = _random_network(rng)
-        sigma = m.covariance_matrix(m.mode_labels)
+        sigma = m.covariance_matrix(tuple(m.labels))
         assert np.allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-9
         # uncertainty bound per mode: det of each diagonal 2x2 block >= 1
@@ -332,7 +332,7 @@ def test_model_operations_do_not_mutate_parent():
     m.loss("v1", 0.5)
     m.displace_by_form("v1", -m.x_form("v1"), -m.y_form("v1"), 1.0)
     assert m.variance(m.x_form("v1")) == before
-    assert m.mode_labels == ("v1",)
+    assert tuple(m.labels) == ("v1",)
 
 
 # element parameters are scaled by one float, or by one value per draw of a batch
@@ -387,8 +387,8 @@ def test_form_taken_before_later_loss_keeps_its_variance():
 def test_covariance_matrix_matches_pairwise_covariance():
     rng = np.random.default_rng(13)
     m = _random_network(rng)
-    sigma = m.covariance_matrix(m.mode_labels)
-    forms = [f for label in m.mode_labels for f in (m.x_form(label), m.y_form(label))]
+    sigma = m.covariance_matrix(tuple(m.labels))
+    forms = [f for label in m.labels for f in (m.x_form(label), m.y_form(label))]
     for i, fi in enumerate(forms):
         for j, fj in enumerate(forms):
             assert sigma[i, j] == pytest.approx(m.covariance(fi, fj), rel=1e-12, abs=1e-15)

@@ -79,6 +79,22 @@ def test_batch_params_validation():
             ExperimentParams(**(fields | mismatch))
 
 
+def test_nan_squeezing_and_gain_rejected():
+    lab = make_lab_params()
+    with pytest.raises(ValueError, match="squeezing.r1: must be >= 0"):
+        replace(lab, r1=math.nan)
+    with pytest.raises(ValueError, match="gain.value: must be >= 0"):
+        GainSpec.fixed(math.nan)
+    # a batch with nan in one draw
+    fields = {name: getattr(lab, name) * np.ones(3)
+              for name in ("r1", "r2", "xi1", "xi2", "xi3", "xi4", "eta", "mirror_R")}
+    fields["r2"][1] = math.nan
+    with pytest.raises(ValueError, match="squeezing.r2: must be >= 0"):
+        ExperimentParams(**fields)
+    with pytest.raises(ValueError, match="gain.value: must be >= 0"):
+        GainSpec("fixed", np.array([0.5, math.nan, 0.5]))
+
+
 def test_gain_spec_validation():
     with pytest.raises(ValueError, match="mode"):
         GainSpec("sometimes")
