@@ -59,6 +59,11 @@ def _fmt_db(v: float) -> str:
     return f"{analytics.db_from_linear(v):+.3f} dB"
 
 
+def _electronic_gain(g_swap: float, params: ExperimentParams) -> dict:
+    """``{"g_electronic": g}`` for a gain that needs feedforward, else nothing."""
+    return {"g_electronic": analytics.gain_to_electronic(g_swap, params)} if g_swap > 0 else {}
+
+
 def _predict_payload(params: ExperimentParams) -> dict:
     report = swap.run_experiment(params)
     payload: dict = {
@@ -70,9 +75,8 @@ def _predict_payload(params: ExperimentParams) -> dict:
         "v_minus_db": report.v_minus_db,
         "entangled": report.entangled,
         "margin": report.margin,
+        **_electronic_gain(report.g_swap_used, params),
     }
-    if report.g_swap_used > 0 and params.mirror_R < 1:
-        payload["g_electronic"] = analytics.gain_to_electronic(report.g_swap_used, params)
     if params.enl_db is not None:
         payload["enl_db"] = params.enl_db
         payload["enl_corrected_db_below_snl"] = {
@@ -115,9 +119,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_optimal_gain(args: argparse.Namespace) -> int:
     params = _require_config(args).to_params()
     g_swap = analytics.optimal_gain(params)
-    payload = {"g_swap_opt": g_swap}
-    if params.mirror_R < 1 and params.eta > 0 and params.xi1 > 0:
-        payload["g_electronic"] = analytics.gain_to_electronic(g_swap, params)
+    payload = {"g_swap_opt": g_swap, **_electronic_gain(g_swap, params)}
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -219,13 +221,16 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="experiment config (YAML)")
-    common.add_argument("--out", metavar="PATH", help="output file")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+# flags shared by several subcommands; each subcommand takes only those it reads
+_SHARED_FLAGS = {
+    "--config": dict(metavar="PATH", help="experiment config (YAML)"),
+    "--out": dict(metavar="PATH", help="output file"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvswap",
         description="Entanglement-swapping bench: exact Gaussian predictions, "
@@ -235,42 +240,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("predict", parents=[common],
-                       help="output variances, gain, and verdict for a config")
-    p.set_defaults(func=cmd_predict)
+    def command(name: str, func, flags: tuple[str, ...], help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("optimal-gain", parents=[common],
-                       help="closed-form optimal normalized gain for a config")
-    p.set_defaults(func=cmd_optimal_gain)
+    command("predict", cmd_predict, ("--config", "--out", "--json"),
+            "output variances, gain, and verdict for a config")
+    command("optimal-gain", cmd_optimal_gain, ("--config", "--json"),
+            "closed-form optimal normalized gain for a config")
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="CSV grid of optimal-gain variance over squeezing parameters")
+    p = command("sweep", cmd_sweep, ("--config", "--out"),
+                "CSV grid of optimal-gain variance over squeezing parameters")
     p.add_argument("--r1", nargs=2, type=float, metavar=("MIN", "MAX"), required=True)
     p.add_argument("--r2", nargs=2, type=float, metavar=("MIN", "MAX"), required=True)
     p.add_argument("--steps", type=int, required=True, help="points per axis (>= 2)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check the network oracle against the closed form")
+    p = command("verify", cmd_verify, ("--config", "--seed"),
+                "check the network oracle against the closed form")
     p.add_argument("--random", type=int, metavar="N", default=0,
                    help="additionally check N random parameter draws")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("montecarlo", parents=[common],
-                       help="render a sampled noise trace to CSV")
+    p = command("montecarlo", cmd_montecarlo, ("--config", "--out", "--seed"),
+                "render a sampled noise trace to CSV")
     p.add_argument("--kind", choices=montecarlo.TRACE_KINDS, required=True)
     p.add_argument("--points", type=int, default=100, help="displayed points (default 100)")
     p.add_argument("--n-per-point", type=int, default=None,
                    help=f"samples averaged per point (default {montecarlo.DEFAULT_N_PER_POINT})")
-    p.set_defaults(func=cmd_montecarlo)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:

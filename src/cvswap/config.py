@@ -1,6 +1,7 @@
 """Config-file schema and strict parsing for the CLI.
 
-Documents are YAML (JSON therefore also parses). Efficiencies are quoted as
+Documents are YAML, read with YAML 1.2's floats (``1e-3`` is a number, not
+a string); JSON therefore also parses. Efficiencies are quoted as
 intensities (xi*_sq, eta_sq) because that is how they are measured;
 :meth:`ExperimentParams.from_intensities` takes the square roots. Squeezing
 goes in either as a parameter ``r`` or as a dB depth below shot noise,
@@ -12,6 +13,7 @@ parameter records, and a range error is a :class:`ConfigError` too.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,15 @@ __all__ = ["ConfigError", "ConfigFile"]
 
 class ConfigError(Exception):
     """Malformed config document (syntax, schema, or value errors)."""
+
+
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` plus YAML 1.2 floats (1.1 reads ``1e-3`` as a string)."""
+
+
+# on this subclass only: PyYAML's own loaders keep their resolvers
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+0123456789."))
 
 
 def _number(value, path: str) -> float:
@@ -72,12 +83,17 @@ class ConfigFile:
                 raise ConfigError(f"missing required key {key!r}")
 
         squeezing = _section(doc, "squeezing", {"r1", "r1_db", "r2", "r2_db"})
-        given: dict[str, tuple[str, float]] = {}
+        r: dict[str, float] = {}
         for beam in ("r1", "r2"):
             present = [key for key in (beam, beam + "_db") if squeezing.get(key) is not None]
             if len(present) != 1:
                 raise ConfigError(f"squeezing: give exactly one of {beam!r} or '{beam}_db'")
-            given[beam] = present[0], _number(squeezing[present[0]], f"squeezing.{present[0]}")
+            key = present[0]
+            number = _number(squeezing[key], f"squeezing.{key}")
+            try:
+                r[beam] = analytics.r_from_db(number) if key.endswith("_db") else number
+            except ValueError as exc:
+                raise ConfigError(f"squeezing.{key}: {exc}") from exc
 
         efficiencies = _section(doc, "efficiencies", _EFF_KEYS)
         eff: dict[str, float] = {}
@@ -89,14 +105,7 @@ class ConfigFile:
         mirror_r = _number(doc["mirror_R"], "mirror_R")
 
         gain = _section(doc, "gain", {"mode", "value"})
-        mode = gain.get("mode")
-        if mode not in ("optimal", "fixed"):
-            raise ConfigError(f"gain.mode: expected 'optimal' or 'fixed', got {mode!r}")
-        if mode == "fixed" and "value" not in gain:
-            raise ConfigError("gain: fixed mode requires 'value'")
-        if mode == "optimal" and "value" in gain:
-            raise ConfigError("gain: optimal mode takes no 'value'")
-        value = _number(gain["value"], "gain.value") if mode == "fixed" else None
+        value = _number(gain["value"], "gain.value") if "value" in gain else None
 
         enl_db = _number(doc["enl_db"], "enl_db") if "enl_db" in doc else None
 
@@ -105,9 +114,7 @@ class ConfigFile:
             raise ConfigError(f"blocked: expected true/false, got {blocked!r}")
 
         try:
-            r = {beam: analytics.r_from_db(number) if key.endswith("_db") else number
-                 for beam, (key, number) in given.items()}
-            spec = GainSpec.fixed(value) if mode == "fixed" else GainSpec.optimal()
+            spec = GainSpec(gain.get("mode"), value)
             params = ExperimentParams.from_intensities(
                 **r, **eff, mirror_R=mirror_r, gain=spec, channel_blocked=blocked, enl_db=enl_db
             )
@@ -118,7 +125,7 @@ class ConfigFile:
     @classmethod
     def loads(cls, text: str) -> ConfigFile:
         try:
-            doc = yaml.safe_load(text)
+            doc = yaml.load(text, Loader=_Loader)
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of > 4300 digits
             raise ConfigError(f"config syntax error: {exc}") from exc
         return cls.from_dict(doc)

@@ -8,12 +8,13 @@ form is a coefficient array over the sources that existed when it was
 taken, so a form stays valid on every later model of the same network: the
 sources added since then are zero in it.
 
-Every array carries a leading batch axis over parameter draws:
-``variances`` has shape ``(*batch, S)``, ``rows`` ``(*batch, R, S)`` and a
-form ``(*batch, S)``. An element parameter is a float or an array of shape
-``batch``, and the model's batch shape grows by broadcasting when an element
-gets an array. One parameter point is batch shape ``()``, and each draw of a
-batch gives bit for bit the numbers it gives alone.
+Every array carries trailing batch axes over parameter draws: ``variances``
+has shape ``(S, *batch)``, ``rows`` ``(R, S, *batch)`` and a form
+``(S, *batch)``, so the draws are innermost in memory. An element parameter
+is a float or an array of shape ``batch``, and the model's batch shape grows
+by broadcasting when an element gets an array. One parameter point is batch
+shape ``()``, and each draw of a batch gives bit for bit the numbers it
+gives alone.
 
 Variances are shot-noise normalized: a vacuum quadrature has variance 1, so
 the shot noise limit sits at 1 by construction and a two-mode squeezed pair
@@ -67,16 +68,12 @@ def _broadcast(*batch_shapes: tuple[int, ...]) -> tuple[int, ...]:
     return shapes.pop() if shapes else ()
 
 
-def _zeros(shape: tuple[int, ...], batch: tuple[int, ...]) -> np.ndarray:
-    """A zero ``(*batch, *shape)`` array with the draws innermost in memory.
-
-    Elementwise work with per-draw parameters then runs in long loops over
-    the batch rather than in short ones along a row.
-    """
-    if not batch:
-        return np.zeros(shape)
-    n = len(shape)
-    return np.zeros(shape + batch).transpose(*range(n, n + len(batch)), *range(n))
+def _pad(array: np.ndarray, lead: int, batch_ndim: int) -> np.ndarray:
+    """``array`` with length-1 axes after its ``lead`` axes, so it broadcasts over ``batch_ndim``."""
+    missing = lead + batch_ndim - array.ndim
+    if missing <= 0:
+        return array
+    return array.reshape(array.shape[:lead] + (1,) * missing + array.shape[lead:])
 
 
 class GaussianModel:
@@ -101,13 +98,13 @@ class GaussianModel:
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        return self.variances.shape[:-1]
+        return self.variances.shape[1:]
 
     def x_form(self, label: str) -> np.ndarray:
-        return self.rows[..., self._row(label), :]
+        return self.rows[self._row(label)]
 
     def y_form(self, label: str) -> np.ndarray:
-        return self.rows[..., self._row(label) + 1, :]
+        return self.rows[self._row(label) + 1]
 
     # -- construction helpers ----------------------------------------------
 
@@ -118,40 +115,34 @@ class GaussianModel:
             raise ValueError(f"unknown mode {label!r}") from None
 
     def _width(self, form: np.ndarray) -> int:
-        n_sources = self.variances.shape[-1]
-        if form.shape[-1] > n_sources:
+        if len(form) > len(self.variances):
             raise ValueError(f"form references unregistered source(s): "
-                             f"{form.shape[-1]} coefficients, {n_sources} sources")
-        return form.shape[-1]
+                             f"{len(form)} coefficients, {len(self.variances)} sources")
+        return len(form)
 
-    def _grow(
-        self, batch: tuple[int, ...], new_rows: int = 0, new_variances: tuple = ()
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _grow(self, batch: tuple[int, ...], new_rows: int = 0,
+              new_variances: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
         """Writable copies of ``rows`` and ``variances`` over the model's batch and ``batch``.
 
         ``new_rows`` zero rows are appended, and one zero source column per
         entry of ``new_variances`` (a float or an array over the batch).
         """
         batch = _broadcast(self.batch_shape, batch)
-        n_rows, n_sources = self.rows.shape[-2:]
-        width = n_sources + len(new_variances)
-        rows = _zeros((n_rows + new_rows, width), batch)
-        rows[..., :n_rows, :n_sources] = self.rows
-        variances = _zeros((width,), batch)
-        variances[..., :n_sources] = self.variances
+        n_rows, n_sources = self.rows.shape[:2]
+        rows = np.zeros((n_rows + new_rows, n_sources + len(new_variances), *batch))
+        rows[:n_rows, :n_sources] = _pad(self.rows, 2, len(batch))
+        variances = np.empty((n_sources + len(new_variances), *batch))
+        variances[:n_sources] = _pad(self.variances, 1, len(batch))
         for k, value in enumerate(new_variances, n_sources):
-            variances[..., k] = value
+            variances[k] = value
         return rows, variances
 
-    def _attach(
-        self, labels: tuple[str, ...], source_variances: tuple, block: np.ndarray,
-        batch: tuple[int, ...] = (),
-    ) -> GaussianModel:
+    def _attach(self, labels: tuple[str, ...], source_variances: tuple, block: np.ndarray,
+                batch: tuple[int, ...] = ()) -> GaussianModel:
         """Append sources and new modes whose (x, y) rows are ``block`` over those sources."""
         rows, variances = self._grow(batch, len(block), source_variances)
-        rows[..., -len(block):, -block.shape[1]:] = block
-        n_rows = self.rows.shape[-2]
-        new = {label: n_rows + 2 * k for k, label in enumerate(labels)}
+        rows[-len(block):, -block.shape[1]:] = _pad(block, 2, rows.ndim - 2)
+        new = {label: len(self.rows) + 2 * k for k, label in enumerate(labels)}
         return GaussianModel(variances, rows, self.labels | new)
 
     # -- operations ----------------------------------------------------------
@@ -192,11 +183,9 @@ class GaussianModel:
         t = np.asarray(transmittance_amplitude, dtype=float)
         i, j = self._row(labels[0]), self._row(labels[1])
         rows, variances = self._grow(t.shape)
-        rt = np.sqrt(1.0 - t * t)[..., None, None]
-        t = t[..., None, None]
-        first, second = self.rows[..., i : i + 2, :], self.rows[..., j : j + 2, :]
-        rows[..., i : i + 2, :] = first * t + second * rt
-        rows[..., j : j + 2, :] = first * -rt + second * t
+        rt = np.sqrt(1.0 - t * t)
+        first, second = rows[i : i + 2], rows[j : j + 2]
+        rows[i : i + 2], rows[j : j + 2] = first * t + second * rt, first * -rt + second * t
         return GaussianModel(variances, rows, self.labels)
 
     def loss(self, label: str, xi) -> GaussianModel:
@@ -205,19 +194,14 @@ class GaussianModel:
         xi = np.asarray(xi, dtype=float)
         i = self._row(label)
         rows, variances = self._grow(xi.shape, 0, (1.0, 1.0))
-        rows[..., i : i + 2, :] *= xi[..., None, None]
+        rows[i : i + 2] *= xi
         vacuum = np.sqrt(1.0 - xi * xi)
-        rows[..., i, -2] = vacuum
-        rows[..., i + 1, -1] = vacuum
+        rows[i, -2] = vacuum
+        rows[i + 1, -1] = vacuum
         return GaussianModel(variances, rows, self.labels)
 
-    def displace_by_form(
-        self,
-        label: str,
-        x_add: np.ndarray,
-        y_add: np.ndarray,
-        gain,
-    ) -> GaussianModel:
+    def displace_by_form(self, label: str, x_add: np.ndarray, y_add: np.ndarray,
+                         gain) -> GaussianModel:
         """Add ``gain`` times the given forms to a mode's quadratures.
 
         This is how classical feedforward of measured photocurrents is
@@ -229,10 +213,9 @@ class GaussianModel:
         i = self._row(label)
         nx, ny = self._width(x_add), self._width(y_add)
         gain = np.asarray(gain, dtype=float)
-        rows, variances = self._grow(_broadcast(gain.shape, x_add.shape[:-1], y_add.shape[:-1]))
-        gain = gain[..., None]
-        rows[..., i, :nx] += x_add * gain
-        rows[..., i + 1, :ny] += y_add * gain
+        rows, variances = self._grow(_broadcast(gain.shape, x_add.shape[1:], y_add.shape[1:]))
+        rows[i, :nx] += _pad(x_add, 1, rows.ndim - 2) * gain
+        rows[i + 1, :ny] += _pad(y_add, 1, rows.ndim - 2) * gain
         return GaussianModel(variances, rows, self.labels)
 
     # -- second moments ------------------------------------------------------
@@ -240,17 +223,22 @@ class GaussianModel:
     def covariance(self, f1: np.ndarray, f2: np.ndarray):
         """Covariance of two forms: a float, or an array over the batch."""
         k = min(self._width(f1), self._width(f2))
-        # on contiguous rows vecdot runs the same dot product per draw that 1-D
-        # ``@`` runs on one point, so a batch agrees with its draws bit for bit
-        # (``.sum(-1)`` does not, nor does a dot over strided rows)
-        value = np.vecdot(np.ascontiguousarray(f1[..., :k] * self.variances[..., :k]),
-                          np.ascontiguousarray(f2[..., :k]))
+        n = max(f1.ndim, f2.ndim, self.variances.ndim) - 1
+        # ``.T`` puts the source axis last (the final ``.T`` restores the batch
+        # order). On contiguous rows vecdot runs the same dot product per draw
+        # that 1-D ``@`` runs on one point, so a batch agrees with its draws bit
+        # for bit (``.sum(0)`` does not, nor does a dot over strided rows)
+        weighted = (_pad(f1[:k], 1, n) * _pad(self.variances[:k], 1, n)).T
+        value = np.vecdot(np.ascontiguousarray(weighted),
+                          np.ascontiguousarray(_pad(f2[:k], 1, n).T)).T
         return float(value) if value.ndim == 0 else value
 
     def variance(self, form: np.ndarray):
         return self.covariance(form, form)
 
     def covariance_matrix(self, labels: tuple[str, ...] | list[str]) -> np.ndarray:
-        """Covariance matrix of the listed modes in (x1, y1, x2, y2, ...) order."""
-        forms = self.rows[..., [self._row(label) + q for label in labels for q in (0, 1)], :]
-        return forms * self.variances[..., None, :] @ np.swapaxes(forms, -1, -2)
+        """Covariance matrix of L listed modes in (x1, y1, x2, ...) order: ``(2L, 2L, *batch)``."""
+        forms = self.rows[[self._row(label) + q for label in labels for q in (0, 1)]]
+        weighted = np.ascontiguousarray(np.moveaxis(forms * self.variances, 1, -1))
+        forms = np.ascontiguousarray(np.moveaxis(forms, 1, -1))
+        return np.vecdot(weighted[:, None], forms[None, :])

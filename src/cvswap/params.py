@@ -33,14 +33,14 @@ class GainSpec:
 
     def __post_init__(self) -> None:
         if self.mode not in ("optimal", "fixed"):
-            raise ValueError(f"gain mode must be 'optimal' or 'fixed', got {self.mode!r}")
+            raise ValueError(f"gain.mode: expected 'optimal' or 'fixed', got {self.mode!r}")
         if self.mode == "fixed":
             if self.value is None:
-                raise ValueError("fixed gain requires a value")
+                raise ValueError("gain: fixed mode requires 'value'")
             if not every_draw(self.value >= 0):
                 raise ValueError(f"gain.value: must be >= 0, got {self.value}")
         elif self.value is not None:
-            raise ValueError("optimal gain takes no value")
+            raise ValueError("gain: optimal mode takes no 'value'")
 
     @classmethod
     def optimal(cls) -> GainSpec:

@@ -13,8 +13,8 @@ with the end parties, and d picks up the feedforward displacement before both
 a and d are verified together.
 
 :func:`build_network` takes one parameter point or a batch of draws (see
-:class:`ExperimentParams`); a batch is one network over the batch axis of
-:class:`GaussianModel`, assembled by the same elements in the same order.
+:class:`ExperimentParams`); a batch is one network over the trailing batch
+axis of :class:`GaussianModel`, assembled by the same elements in the same order.
 """
 
 from __future__ import annotations

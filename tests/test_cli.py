@@ -179,6 +179,26 @@ def test_optimal_gain_json(config_path, capsys):
     assert payload["g_swap_opt"] == pytest.approx(0.740934, abs=1e-5)
 
 
+def test_optimal_gain_through_sealed_mirror_is_physics_rejection(tmp_path, lab_config_text, capsys):
+    # the same rule as predict: a gain > 0 needs an electronic gain, and R = 1 has no port
+    path = tmp_path / "sealed.yaml"
+    path.write_text(lab_config_text.replace("mirror_R: 0.98", "mirror_R: 1"))
+    for command in ("optimal-gain", "predict"):
+        assert run([command, "--config", str(path)]) == EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert "mirror_R = 1 leaves no feedforward port" in captured.err
+        assert captured.out == ""
+
+
+def test_optimal_gain_without_feedforward_reports_no_electronic_gain(
+    tmp_path, lab_config_text, capsys
+):
+    path = tmp_path / "dark.yaml"
+    path.write_text(lab_config_text.replace("eta_sq: 0.90", "eta_sq: 0"))
+    assert run(["optimal-gain", "--config", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"g_swap_opt": 0.0}
+
+
 # -- sweep --------------------------------------------------------------------------
 
 
@@ -427,6 +447,26 @@ def test_montecarlo_negative_seed_is_config_error(config_path, tmp_path, capsys)
 
 
 # -- parser ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("predict", "--seed"), ("optimal-gain", "--out"), ("optimal-gain", "--seed"),
+     ("sweep", "--seed"), ("sweep", "--json"), ("verify", "--out"), ("verify", "--json"),
+     ("montecarlo", "--json")],
+)
+def test_subcommand_rejects_flags_it_does_not_read(config_path, tmp_path, command, flag):
+    out = ["--out", str(tmp_path / "out.csv")]
+    argv = [command, "--config", config_path, *{
+        "sweep": ["--r1", "0", "1", "--r2", "0", "1", "--steps", "2", *out],
+        "montecarlo": ["--kind", "snl", "--points", "1", "--n-per-point", "10", *out],
+    }.get(command, [])]
+    assert run(argv) == EXIT_OK
+    extra = {"--json": [], "--out": [str(tmp_path / "ignored")], "--seed": ["1"]}[flag]
+    with pytest.raises(SystemExit) as excinfo:
+        run([*argv, flag, *extra])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "ignored").exists()
 
 
 def test_missing_subcommand_is_usage_error():

@@ -6,6 +6,7 @@ import math
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from cvswap import ConfigError, ConfigFile, GainSpec, r_from_db, run_experiment
 from conftest import make_lab_params
@@ -131,6 +132,46 @@ def test_json_document_also_parses():
         '"xi4_sq": 0.968, "eta_sq": 0.9}, "mirror_R": 0.98, "gain": {"mode": "optimal"}}'
     )
     assert cfg.to_params().mirror_R == 0.98
+
+
+@pytest.mark.parametrize(
+    ("mode", "value", "message"),
+    [("loud", None, "gain.mode: expected 'optimal' or 'fixed', got 'loud'"),
+     ("fixed", None, "gain: fixed mode requires 'value'"),
+     ("optimal", 0.5, "gain: optimal mode takes no 'value'")],
+)
+def test_gain_spec_owns_the_config_messages(mode, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GainSpec(mode, value)
+
+
+def test_json_exponent_floats_parse():
+    cfg = parse(
+        '{"squeezing": {"r1_db": 4.9e0, "r2": 5.87E-1}, '
+        '"efficiencies": {"xi1_sq": 9.7e-1, "xi2_sq": 0.95, "xi3_sq": 0.966, '
+        '"xi4_sq": 0.968, "eta_sq": 9e-1}, "mirror_R": 0.98, '
+        '"gain": {"mode": "fixed", "value": 7e-1}, "enl_db": 1e1}'
+    )
+    params = cfg.to_params()
+    assert params.gain == GainSpec.fixed(0.7)
+    assert params.enl_db == 10.0
+    assert params.r2 == 0.587
+    assert params.r1 == r_from_db(4.9)
+    assert params.eta == math.sqrt(0.9)
+    # the exponent floats are this parser's own: PyYAML's loaders are unchanged
+    assert yaml.safe_load("value: 1e-3") == {"value": "1e-3"}
+
+
+def test_yaml_exponent_gain_value_parses(lab_config_text):
+    text = lab_config_text.replace("mode: optimal", "mode: fixed\n  value: 7e-1")
+    assert parse(text).to_params().gain == GainSpec.fixed(0.7)
+
+
+@pytest.mark.parametrize(("line", "key"), [("r1: 0.564", "r1_db"), ("r2: 0.587", "r2_db")])
+def test_negative_db_squeezing_names_its_key(lab_config_text, line, key):
+    with pytest.raises(ConfigError, match=rf"^squeezing\.{key}: squeezing depth must be >= 0 "
+                                          r"dB below SNL, got -1\.0$"):
+        parse(lab_config_text.replace(line, f"{key}: -1.0"))
 
 
 @pytest.mark.parametrize(

@@ -369,6 +369,44 @@ def test_elements_leave_parent_arrays_unchanged():
         assert m.labels == labels
 
 
+def test_batched_arrays_are_c_contiguous_with_draws_last():
+    # per-draw parameters then broadcast over the innermost axis, in long loops
+    draws = ONE_POINT_AND_BATCH[1]
+    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3 * draws).add_epr_pair(("c", "d"), 0.2)
+    for model in [m, *_every_element(m, draws)]:
+        n_rows, n_sources = len(model.rows), len(model.variances)
+        assert model.batch_shape == draws.shape
+        assert model.rows.shape == (n_rows, n_sources, *draws.shape)
+        assert model.variances.shape == (n_sources, *draws.shape)
+        assert model.rows.flags.c_contiguous and model.variances.flags.c_contiguous
+        assert model.x_form("a").shape == (n_sources, *draws.shape)
+
+
+def test_point_form_on_a_batched_model_broadcasts_over_draws():
+    # a form taken before the batch grew holds for every draw
+    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.4)
+    current = m.x_form("a") + m.x_form("b")
+    xi = np.array([0.9, 0.5, 1.0, 0.2])
+    batched = m.loss("b", xi).displace_by_form("a", current, current, xi)
+    v = batched.variance(current)
+    assert v.shape == xi.shape and np.all(v == m.variance(current))
+    for k, x in enumerate(xi.tolist()):
+        one = m.loss("b", x).displace_by_form("a", current, current, x)
+        assert batched.variance(batched.x_form("a"))[k] == one.variance(one.x_form("a"))
+        assert batched.covariance(current, batched.x_form("b"))[k] == one.covariance(
+            current, one.x_form("b"))
+
+
+def test_batched_covariance_matrix_puts_draws_last():
+    r = np.array([0.0, 0.564, 1.2])
+    m = GaussianModel.empty().add_epr_pair(("a", "b"), r)
+    sigma = m.covariance_matrix(["a", "b"])
+    assert sigma.shape == (4, 4, 3)
+    for k, rk in enumerate(r.tolist()):
+        one = GaussianModel.empty().add_epr_pair(("a", "b"), rk)
+        assert np.allclose(sigma[..., k], one.covariance_matrix(["a", "b"]), rtol=1e-15, atol=0)
+
+
 def test_form_taken_before_later_loss_keeps_its_variance():
     m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.564).add_epr_pair(("c", "d"), 0.587)
     current = (m.x_form("b") + m.x_form("c")) * (1 / SQRT2)

@@ -100,7 +100,7 @@ def test_gain_spec_validation():
         GainSpec("sometimes")
     with pytest.raises(ValueError, match="value"):
         GainSpec("fixed")
-    with pytest.raises(ValueError, match="no value"):
+    with pytest.raises(ValueError, match="optimal mode takes no 'value'"):
         GainSpec("optimal", 0.5)
     assert GainSpec.fixed(0.3).value == 0.3
     assert GainSpec.optimal().mode == "optimal"
