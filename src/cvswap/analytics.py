@@ -120,8 +120,9 @@ def _optimal_gain(params: ExperimentParams, r1, r2, xp):
 def gain_to_electronic(g_swap, params: ExperimentParams):
     """Electronic gain g realizing a normalized g_swap = sqrt(1-R)/sqrt(2) * eta * xi1 * g.
 
-    Elementwise on a batch of draws. A zero ``g_swap`` maps to 0 and needs
-    no feedforward port, so such a draw may have mirror_R = 1.
+    Elementwise on a batch of draws; OverflowError if g is inf or nan. A zero
+    ``g_swap`` maps to 0 and needs no feedforward port, so such a draw may
+    have mirror_R = 1.
     """
     unused = g_swap == 0.0
     if not every_draw(unused | (params.mirror_R < 1.0)):
@@ -130,7 +131,10 @@ def gain_to_electronic(g_swap, params: ExperimentParams):
         raise ValueError("eta and xi1 must be > 0 to set an electronic gain")
     port = np.sqrt(1.0 - params.mirror_R) * params.eta * params.xi1
     # a draw without gain divides 0 by port + 1, since its port may be closed
-    g = math.sqrt(2.0) * g_swap / (port + unused)
+    with np.errstate(over="ignore"):
+        g = math.sqrt(2.0) * g_swap / (port + unused)
+    if not np.isfinite(g).all():
+        raise OverflowError("electronic gain is inf or nan")
     return g if isinstance(g, np.ndarray) else float(g)
 
 

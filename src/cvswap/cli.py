@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -230,7 +231,9 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="cvswap",
         description="Entanglement-swapping bench: exact Gaussian predictions, "

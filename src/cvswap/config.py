@@ -29,8 +29,9 @@ class ConfigError(Exception):
     """Malformed config document (syntax, schema, or value errors)."""
 
 
-class _Loader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` plus YAML 1.2 floats (1.1 reads ``1e-3`` as a string)."""
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """PyYAML's safe loader, on libyaml where built with it, plus YAML 1.2 floats
+    (1.1 reads ``1e-3`` as a string)."""
 
 
 # on this subclass only: PyYAML's own loaders keep their resolvers

@@ -10,11 +10,11 @@ sources added since then are zero in it.
 
 Every array carries trailing batch axes over parameter draws: ``variances``
 has shape ``(S, *batch)``, ``rows`` ``(R, S, *batch)`` and a form
-``(S, *batch)``, so the draws are innermost in memory. An element parameter
-is a float or an array of shape ``batch``, and the model's batch shape grows
-by broadcasting when an element gets an array. One parameter point is batch
-shape ``()``, and each draw of a batch gives bit for bit the numbers it
-gives alone.
+``(S, *batch)``, so the draws are innermost in memory. The batch shape is
+fixed when the model is created and no element changes it: a parameter is a
+float or an array of that shape, a form has exactly those batch axes, and
+anything else is a ``ValueError``. One parameter point is batch shape ``()``,
+and each draw of a batch gives bit for bit the numbers it gives alone.
 
 Variances are shot-noise normalized: a vacuum quadrature has variance 1, so
 the shot noise limit sits at 1 by construction and a two-mode squeezed pair
@@ -22,8 +22,8 @@ stores joint-quadrature variances exp(-2r) / exp(+2r). Linear elements
 (beamsplitters, loss channels, squeezed-pair creation, feedforward
 displacements) only rewrite rows or append sources, so the covariance of any
 two forms, including measured photocurrents fed forward onto other modes, is
-the exact sum ``vecdot(f1 * variances, f2)``. Nothing is sampled or
-truncated here.
+the exact sum ``vecdot(f1 * variances, f2)``, or an ``OverflowError`` when
+that is inf or nan. Nothing is sampled or truncated here.
 
 Models are value-like: every operation returns a new model built on copies,
 and the arrays a model hands out are read-only, so instances can be shared
@@ -55,32 +55,16 @@ def _exp(x):
     numpy's ``exp`` differs from libm's in the last ulp on some inputs, and a
     draw must give the same bits inside a batch as alone.
     """
-    if x.ndim == 0:
+    if not isinstance(x, np.ndarray):
         return math.exp(x)
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _broadcast(*batch_shapes: tuple[int, ...]) -> tuple[int, ...]:
-    """``np.broadcast_shapes``, without its 1.5 us when at most one shape is nonempty."""
-    shapes = set(batch_shapes) - {()}
-    if len(shapes) > 1:
-        return np.broadcast_shapes(*shapes)
-    return shapes.pop() if shapes else ()
-
-
-def _pad(array: np.ndarray, lead: int, batch_ndim: int) -> np.ndarray:
-    """``array`` with length-1 axes after its ``lead`` axes, so it broadcasts over ``batch_ndim``."""
-    missing = lead + batch_ndim - array.ndim
-    if missing <= 0:
-        return array
-    return array.reshape(array.shape[:lead] + (1,) * missing + array.shape[lead:])
 
 
 class GaussianModel:
     """Source variances plus the (x, y) coefficient rows of every live mode.
 
-    Construct with :meth:`empty` and grow with the operation methods; each
-    operation returns a fresh model and leaves the receiver unchanged.
+    Construct with :meth:`empty`, which fixes the batch shape, and grow with the
+    operation methods; each returns a fresh model and leaves the receiver unchanged.
     """
 
     def __init__(self, variances: np.ndarray, rows: np.ndarray, labels: dict[str, int]) -> None:
@@ -91,8 +75,8 @@ class GaussianModel:
         self.labels = labels
 
     @classmethod
-    def empty(cls) -> GaussianModel:
-        return cls(np.empty(0), np.empty((0, 0)), {})
+    def empty(cls, batch_shape: tuple[int, ...] = ()) -> GaussianModel:
+        return cls(np.empty((0, *batch_shape)), np.empty((0, 0, *batch_shape)), {})
 
     # -- accessors ---------------------------------------------------------
 
@@ -114,40 +98,47 @@ class GaussianModel:
         except KeyError:
             raise ValueError(f"unknown mode {label!r}") from None
 
+    def _param(self, value):
+        """``value``, checked to be a float or an array over the model's batch."""
+        shape = getattr(value, "shape", ())
+        if shape and shape != self.batch_shape:
+            raise ValueError(f"element parameter has shape {shape}, "
+                             f"the model's batch shape is {self.batch_shape}")
+        return value
+
     def _width(self, form: np.ndarray) -> int:
+        if form.shape[1:] != self.batch_shape:
+            raise ValueError(f"form has batch shape {form.shape[1:]}, "
+                             f"the model's batch shape is {self.batch_shape}")
         if len(form) > len(self.variances):
             raise ValueError(f"form references unregistered source(s): "
                              f"{len(form)} coefficients, {len(self.variances)} sources")
         return len(form)
 
-    def _grow(self, batch: tuple[int, ...], new_rows: int = 0,
-              new_variances: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
-        """Writable copies of ``rows`` and ``variances`` over the model's batch and ``batch``.
-
-        ``new_rows`` zero rows are appended, and one zero source column per
-        entry of ``new_variances`` (a float or an array over the batch).
-        """
-        batch = _broadcast(self.batch_shape, batch)
+    def _grow(self, new_rows: int = 0, new_variances: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+        """Writable copies of ``rows`` and ``variances`` plus ``new_rows`` zero rows and one
+        zero source column per entry of ``new_variances`` (a float or an array over the batch)."""
         n_rows, n_sources = self.rows.shape[:2]
-        rows = np.zeros((n_rows + new_rows, n_sources + len(new_variances), *batch))
-        rows[:n_rows, :n_sources] = _pad(self.rows, 2, len(batch))
-        variances = np.empty((n_sources + len(new_variances), *batch))
-        variances[:n_sources] = _pad(self.variances, 1, len(batch))
+        rows = np.zeros((n_rows + new_rows, n_sources + len(new_variances), *self.batch_shape))
+        rows[:n_rows, :n_sources] = self.rows
+        variances = np.empty(rows.shape[1:])
+        variances[:n_sources] = self.variances
         for k, value in enumerate(new_variances, n_sources):
             variances[k] = value
         return rows, variances
 
-    def _attach(self, labels: tuple[str, ...], source_variances: tuple, block: np.ndarray,
-                batch: tuple[int, ...] = ()) -> GaussianModel:
+    def _attach(self, labels: tuple[str, ...], source_variances: tuple,
+                block: np.ndarray) -> GaussianModel:
         """Append sources and new modes whose (x, y) rows are ``block`` over those sources."""
-        rows, variances = self._grow(batch, len(block), source_variances)
-        rows[-len(block):, -block.shape[1]:] = _pad(block, 2, rows.ndim - 2)
+        rows, variances = self._grow(len(block), source_variances)
+        # transposed, the batch axes lead and ``block.T`` broadcasts over them
+        rows[-len(block):, -block.shape[1]:].T[...] = block.T
         new = {label: len(self.rows) + 2 * k for k, label in enumerate(labels)}
         return GaussianModel(variances, rows, self.labels | new)
 
     # -- operations ----------------------------------------------------------
     #
-    # Every element parameter is a float or an array over the batch.
+    # Every element parameter is a float or an array of the model's batch shape.
 
     def add_vacuum_mode(self, label: str) -> GaussianModel:
         """Attach a fresh vacuum mode: unit variance on both quadratures."""
@@ -169,9 +160,9 @@ class GaussianModel:
             raise ValueError(f"squeezing parameter must be >= 0, got {r}")
         if la in self.labels or lb in self.labels or la == lb:
             raise ValueError(f"mode labels {labels!r} must be fresh and distinct")
-        r = np.asarray(r, dtype=float)
+        r = self._param(r)
         quiet, loud = _exp(-2.0 * r), _exp(+2.0 * r)
-        return self._attach(labels, (quiet, loud, loud, quiet), _EPR_ROWS, r.shape)
+        return self._attach(labels, (quiet, loud, loud, quiet), _EPR_ROWS)
 
     def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude) -> GaussianModel:
         """Mix two modes: x1' = t x1 + sqrt(1-t^2) x2, x2' = -sqrt(1-t^2) x1 + t x2.
@@ -180,9 +171,9 @@ class GaussianModel:
         coefficient unchanged.
         """
         check_unit("transmittance amplitude", transmittance_amplitude)
-        t = np.asarray(transmittance_amplitude, dtype=float)
+        t = self._param(transmittance_amplitude)
         i, j = self._row(labels[0]), self._row(labels[1])
-        rows, variances = self._grow(t.shape)
+        rows, variances = self._grow()
         rt = np.sqrt(1.0 - t * t)
         first, second = rows[i : i + 2], rows[j : j + 2]
         rows[i : i + 2], rows[j : j + 2] = first * t + second * rt, first * -rt + second * t
@@ -191,13 +182,11 @@ class GaussianModel:
     def loss(self, label: str, xi) -> GaussianModel:
         """Amplitude transmission ``xi`` with fresh vacuum entering the open port."""
         check_unit("amplitude transmission", xi)
-        xi = np.asarray(xi, dtype=float)
+        xi = self._param(xi)
         i = self._row(label)
-        rows, variances = self._grow(xi.shape, 0, (1.0, 1.0))
+        rows, variances = self._grow(0, (1.0, 1.0))
         rows[i : i + 2] *= xi
-        vacuum = np.sqrt(1.0 - xi * xi)
-        rows[i, -2] = vacuum
-        rows[i + 1, -1] = vacuum
+        rows[i, -2] = rows[i + 1, -1] = np.sqrt(1.0 - xi * xi)
         return GaussianModel(variances, rows, self.labels)
 
     def displace_by_form(self, label: str, x_add: np.ndarray, y_add: np.ndarray,
@@ -212,25 +201,26 @@ class GaussianModel:
         """
         i = self._row(label)
         nx, ny = self._width(x_add), self._width(y_add)
-        gain = np.asarray(gain, dtype=float)
-        rows, variances = self._grow(_broadcast(gain.shape, x_add.shape[1:], y_add.shape[1:]))
-        rows[i, :nx] += _pad(x_add, 1, rows.ndim - 2) * gain
-        rows[i + 1, :ny] += _pad(y_add, 1, rows.ndim - 2) * gain
+        gain = self._param(gain)
+        rows, variances = self._grow()
+        rows[i, :nx] += x_add * gain
+        rows[i + 1, :ny] += y_add * gain
         return GaussianModel(variances, rows, self.labels)
 
     # -- second moments ------------------------------------------------------
 
     def covariance(self, f1: np.ndarray, f2: np.ndarray):
-        """Covariance of two forms: a float, or an array over the batch."""
+        """Covariance of two forms: a float, or an array over the batch; never inf or nan."""
         k = min(self._width(f1), self._width(f2))
-        n = max(f1.ndim, f2.ndim, self.variances.ndim) - 1
         # ``.T`` puts the source axis last (the final ``.T`` restores the batch
         # order). On contiguous rows vecdot runs the same dot product per draw
         # that 1-D ``@`` runs on one point, so a batch agrees with its draws bit
         # for bit (``.sum(0)`` does not, nor does a dot over strided rows)
-        weighted = (_pad(f1[:k], 1, n) * _pad(self.variances[:k], 1, n)).T
-        value = np.vecdot(np.ascontiguousarray(weighted),
-                          np.ascontiguousarray(_pad(f2[:k], 1, n).T)).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.vecdot(np.ascontiguousarray((f1[:k] * self.variances[:k]).T),
+                              np.ascontiguousarray(f2[:k].T)).T
+        if not np.isfinite(value).all():
+            raise OverflowError("covariance is inf or nan")
         return float(value) if value.ndim == 0 else value
 
     def variance(self, form: np.ndarray):

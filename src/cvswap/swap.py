@@ -15,6 +15,8 @@ a and d are verified together.
 :func:`build_network` takes one parameter point or a batch of draws (see
 :class:`ExperimentParams`); a batch is one network over the trailing batch
 axis of :class:`GaussianModel`, assembled by the same elements in the same order.
+The model is created with the batch shape of the parameters, which no element
+changes. A variance outside floating-point range is an ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     """Assemble the swap chain and return the model plus measurement handles."""
     g_swap = resolve_gain(params)
 
-    m = GaussianModel.empty()
+    m = GaussianModel.empty(params.batch_shape)
     m = m.add_epr_pair(("a", "b"), params.r1)
     m = m.add_epr_pair(("c", "d"), params.r2)
 

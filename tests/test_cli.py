@@ -13,7 +13,8 @@ import pytest
 
 import cvswap.analytics
 from cvswap import ConfigFile, ExperimentParams, GainSpec
-from cvswap.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, VERIFY_CHUNK, main
+from cvswap.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, VERIFY_CHUNK,
+                        build_parser, main)
 
 
 @pytest.fixture
@@ -134,6 +135,43 @@ def test_predict_extreme_squeezing_exits_cleanly(
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+_FIXED = "mode: fixed\n  value: "
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [("mode: optimal", _FIXED + "1e300")],                      # the covariance overflows
+        [("r2: 0.587", "r2: 1e308"), ("enl_db: 11.3", "blocked: true")],  # inf times 0
+        [("mode: optimal", _FIXED + "1.7e308")],                    # the electronic gain is inf
+        [("xi1_sq: 0.970", "xi1_sq: 5e-324"), ("mode: optimal", _FIXED + "0.3")],
+    ],
+    ids=["gain-1e300", "r2-1e308-blocked", "gain-1.7e308", "xi1_sq-5e-324"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["predict"], ["predict", "--json"], ["montecarlo", "--kind", "single_mode_dprime"],
+     ["verify"]],
+    ids=["predict", "predict-json", "montecarlo", "verify"],
+)
+def test_non_finite_network_result_exits_3(tmp_path, lab_config_text, capsys, edits, command):
+    # the oracle's variances and the electronic gain are never inf or nan
+    text = lab_config_text
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "extreme.yaml"
+    path.write_text(text)
+    argv = command + ["--config", str(path)]
+    if command[0] == "montecarlo":
+        argv += ["--out", str(tmp_path / "trace.csv")]
+    assert run(argv) == EXIT_PHYSICS
+    captured = capsys.readouterr()
+    assert "result outside floating-point range" in captured.err
+    assert "Traceback" not in captured.err
+    assert not any(word in captured.out.lower() for word in ("inf", "nan"))
 
 
 _SQ_KEYS = ("xi1_sq: 0.970", "xi2_sq: 0.950", "xi3_sq: 0.966", "xi4_sq: 0.968", "eta_sq: 0.90")
@@ -467,6 +505,18 @@ def test_subcommand_rejects_flags_it_does_not_read(config_path, tmp_path, comman
         run([*argv, flag, *extra])
     assert excinfo.value.code == 2
     assert not (tmp_path / "ignored").exists()
+
+
+def test_parser_is_built_once_and_calls_leak_nothing(config_path, capsys):
+    assert build_parser() is build_parser()
+    assert run(["verify", "--config", config_path, "--random", "3", "--seed", "5"]) == EXIT_OK
+    assert "over 4 point(s)" in capsys.readouterr().out
+    assert run(["verify", "--config", config_path]) == EXIT_OK
+    assert "over 1 point(s)" in capsys.readouterr().out
+    assert run(["predict", "--config", config_path, "--json"]) == EXIT_OK
+    json.loads(capsys.readouterr().out)
+    assert run(["predict", "--config", config_path]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("g_swap    = ")
 
 
 def test_missing_subcommand_is_usage_error():

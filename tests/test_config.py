@@ -118,6 +118,18 @@ def test_enl_and_blocked_validation(lab_config_text):
 def test_syntax_error_reported_with_location():
     with pytest.raises(ConfigError, match="config syntax error"):
         parse("squeezing: {r1: [unclosed\n")
+    with pytest.raises(ConfigError, match=r"^config syntax error: (.|\n)*line 2, column 10"):
+        parse("squeezing:\n  r1: 0.5: 0.6\n")
+
+
+def test_parser_runs_on_libyaml_when_pyyaml_has_it():
+    from cvswap.config import _Loader
+
+    if yaml.__with_libyaml__:
+        assert issubclass(_Loader, yaml.CSafeLoader)
+    else:
+        assert issubclass(_Loader, yaml.SafeLoader)
+    assert issubclass(_Loader, yaml.constructor.SafeConstructor)
 
 
 def test_root_must_be_mapping():

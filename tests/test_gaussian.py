@@ -351,7 +351,7 @@ def _every_element(m: GaussianModel, scale=1.0) -> list[GaussianModel]:
 
 def test_model_arrays_are_read_only():
     for scale in ONE_POINT_AND_BATCH:
-        m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3 * scale)
+        m = GaussianModel.empty(np.shape(scale)).add_epr_pair(("a", "b"), 0.3 * scale)
         for model in [m, *_every_element(m.add_epr_pair(("c", "d"), 0.2), scale)]:
             for array in (model.x_form("a"), model.y_form("b"), model.rows, model.variances):
                 with pytest.raises(ValueError, match="read-only"):
@@ -360,7 +360,7 @@ def test_model_arrays_are_read_only():
 
 def test_elements_leave_parent_arrays_unchanged():
     for scale in ONE_POINT_AND_BATCH:
-        m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3 * scale).add_epr_pair(("c", "d"), 0.9)
+        m = GaussianModel.empty(np.shape(scale)).add_epr_pair(("a", "b"), 0.3 * scale).add_epr_pair(("c", "d"), 0.9)
         rows, variances, labels = m.rows.copy(), m.variances.copy(), dict(m.labels)
         children = _every_element(m, scale)
         assert not any(np.array_equal(child.rows, rows) for child in children)
@@ -372,7 +372,7 @@ def test_elements_leave_parent_arrays_unchanged():
 def test_batched_arrays_are_c_contiguous_with_draws_last():
     # per-draw parameters then broadcast over the innermost axis, in long loops
     draws = ONE_POINT_AND_BATCH[1]
-    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.3 * draws).add_epr_pair(("c", "d"), 0.2)
+    m = GaussianModel.empty(draws.shape).add_epr_pair(("a", "b"), 0.3 * draws).add_epr_pair(("c", "d"), 0.2)
     for model in [m, *_every_element(m, draws)]:
         n_rows, n_sources = len(model.rows), len(model.variances)
         assert model.batch_shape == draws.shape
@@ -382,24 +382,79 @@ def test_batched_arrays_are_c_contiguous_with_draws_last():
         assert model.x_form("a").shape == (n_sources, *draws.shape)
 
 
-def test_point_form_on_a_batched_model_broadcasts_over_draws():
-    # a form taken before the batch grew holds for every draw
-    m = GaussianModel.empty().add_epr_pair(("a", "b"), 0.4)
-    current = m.x_form("a") + m.x_form("b")
-    xi = np.array([0.9, 0.5, 1.0, 0.2])
-    batched = m.loss("b", xi).displace_by_form("a", current, current, xi)
-    v = batched.variance(current)
-    assert v.shape == xi.shape and np.all(v == m.variance(current))
-    for k, x in enumerate(xi.tolist()):
-        one = m.loss("b", x).displace_by_form("a", current, current, x)
-        assert batched.variance(batched.x_form("a"))[k] == one.variance(one.x_form("a"))
-        assert batched.covariance(current, batched.x_form("b"))[k] == one.covariance(
-            current, one.x_form("b"))
+def _four_modes(batch) -> GaussianModel:
+    m = GaussianModel.empty(batch).add_epr_pair(("a", "b"), 0.3)
+    return m.add_epr_pair(("c", "d"), 0.2)
+
+
+def _elements_with(m: GaussianModel, value) -> list:
+    """Each element called with ``value`` as its parameter, unevaluated."""
+    form_a, form_b = m.x_form("a"), m.y_form("b")
+    return [
+        lambda: m.add_epr_pair(("e", "f"), value),
+        lambda: m.beamsplitter(("a", "c"), value),
+        lambda: m.loss("b", value),
+        lambda: m.displace_by_form("d", form_a, form_b, value),
+    ]
+
+
+def test_empty_model_fixes_the_batch_shape():
+    for batch in [(), (4,), (2, 3)]:
+        m = GaussianModel.empty(batch)
+        assert m.variances.shape == (0, *batch) and m.rows.shape == (0, 0, *batch)
+        for model in [m.add_vacuum_mode("v"), *_every_element(_four_modes(batch))]:
+            assert model.batch_shape == batch
+
+
+def test_parameter_of_another_batch_shape_is_rejected():
+    m = _four_modes((4,))
+    for element in _elements_with(m, np.full(3, 0.5)):
+        with pytest.raises(ValueError, match=r"shape \(3,\).*batch shape is \(4,\)"):
+            element()
+
+
+def test_per_source_array_on_a_point_model_is_rejected():
+    # a length-S array would otherwise broadcast silently across the S sources
+    m = _four_modes(())
+    n_sources = m.variances.size
+    for element in _elements_with(m, np.full(n_sources, 0.5)):
+        with pytest.raises(ValueError, match=rf"shape \({n_sources},\).*batch shape is \(\)"):
+            element()
+
+
+def test_point_form_on_a_batched_model_is_rejected():
+    point = _four_modes(())
+    batched = _four_modes((4,))
+    form = point.x_form("a")
+    with pytest.raises(ValueError, match=r"form has batch shape \(\).*batch shape is \(4,\)"):
+        batched.variance(form)
+    with pytest.raises(ValueError, match=r"form has batch shape \(\).*batch shape is \(4,\)"):
+        batched.covariance(batched.x_form("a"), form)
+    with pytest.raises(ValueError, match=r"form has batch shape \(\).*batch shape is \(4,\)"):
+        batched.displace_by_form("d", form, form, 0.5)
+
+
+def test_batched_form_on_a_point_model_is_rejected():
+    point = _four_modes(())
+    form = _four_modes((4,)).x_form("a")
+    with pytest.raises(ValueError, match=r"form has batch shape \(4,\).*batch shape is \(\)"):
+        point.variance(form)
+    with pytest.raises(ValueError, match=r"form has batch shape \(4,\).*batch shape is \(\)"):
+        point.displace_by_form("d", form, form, 0.5)
+
+
+def test_non_finite_covariance_is_overflow_error():
+    v = GaussianModel.empty().add_vacuum_mode("v")
+    loud = v.displace_by_form("v", v.x_form("v"), v.y_form("v"), 1e300)  # variance 1e600
+    squeezed = v.add_epr_pair(("a", "b"), 1e308)  # exp(2r) = inf, times v's zero coefficient
+    for m in (loud, squeezed):
+        with pytest.raises(OverflowError, match="inf or nan"):
+            m.variance(m.x_form("v"))
 
 
 def test_batched_covariance_matrix_puts_draws_last():
     r = np.array([0.0, 0.564, 1.2])
-    m = GaussianModel.empty().add_epr_pair(("a", "b"), r)
+    m = GaussianModel.empty(r.shape).add_epr_pair(("a", "b"), r)
     sigma = m.covariance_matrix(["a", "b"])
     assert sigma.shape == (4, 4, 3)
     for k, rk in enumerate(r.tolist()):
