@@ -172,7 +172,7 @@ def enl_correct(v_meas_db_below_snl: float, enl_db_below_snl: float) -> float:
     v_enl = 10.0 ** (-enl_db_below_snl / 10.0)
     if v_meas <= v_enl:
         raise ValueError("measured variance is at or below the electronic noise floor")
-    return -10.0 * math.log10((v_meas - v_enl) / (1.0 - v_enl))
+    return _finite(-10.0 * math.log10((v_meas - v_enl) / (1.0 - v_enl)))
 
 
 _SNL_BOUNDARY_TOL = 1e-12

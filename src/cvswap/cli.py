@@ -215,7 +215,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     )
     sidecar = montecarlo.write_trace_csv(trace, args.out)
     print(
-        f"{args.kind}: {args.points} points x {trace.n_per_point} samples, "
+        f"{args.kind}: {args.points} points x {trace.metadata['n_per_point']} samples, "
         f"pooled noise power {trace.pooled_db():+.3f} dB (seed {args.seed})"
     )
     print(f"wrote {args.out} and {sidecar}")

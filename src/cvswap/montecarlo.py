@@ -9,10 +9,10 @@ bench settings 10 kHz / 30 Hz.
 A sample of a quadrature form is a linear combination of independent
 zero-mean Gaussian sources, so it is itself one Gaussian N(0, V) with
 V = sum_i c_i^2 sigma_i^2, the variance the network oracle reports for the
-form. Each sample is therefore one standard normal draw scaled by sqrt(V);
-the per-source draws are never materialized. Sampling uses numpy's PCG64
-generator with per-chunk (per-point for traces) spawned seeds, so results
-are reproducible and chunk scheduling cannot change them.
+form; the per-source draws are never materialized. A point's power is V
+times the mean square of unit normals, scaled once, not per sample, so a
+finite V cannot overflow inside the average. Each call seeds one numpy PCG64
+generator and draws its points (or chunks) from it in order.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ DEFAULT_N_PER_POINT = round(RBW_HZ / VBW_HZ)  # 333
 TRACE_KINDS = ("correlated", "blocked", "single_mode_a", "single_mode_dprime", "snl")
 
 RNG_ALGORITHM = (
-    "numpy default_rng (PCG64), per-point seeds spawned from SeedSequence; "
-    "one N(0, V) draw per sample, V the network variance of the form"
+    "numpy default_rng(seed) (PCG64), one generator per trace, points drawn in order; "
+    "one N(0, V) draw per sample, V the network variance of the form, "
+    "drawn as a unit normal and scaled by V once per point"
 )
 
 _CHUNK = 1 << 17
@@ -47,18 +48,13 @@ _CHUNK = 1 << 17
 class TraceSeries:
     """One rendered noise trace: (point index, dB noise power) samples."""
 
-    label: str
     samples: list[tuple[int, float]]
-    seed: int
-    n_per_point: int
     metadata: dict = field(default_factory=dict)
-
-    def db_values(self) -> np.ndarray:
-        return np.array([db for _, db in self.samples])
 
     def linear_mean(self) -> float:
         """Pooled variance estimate: mean of the per-point linear averages."""
-        return float((10.0 ** (self.db_values() / 10.0)).mean())
+        n = len(self.samples)
+        return math.fsum(10.0 ** (db / 10.0) / n for _, db in self.samples)
 
     def pooled_db(self) -> float:
         return 10.0 * math.log10(self.linear_mean())
@@ -71,30 +67,24 @@ def estimate_variance(
 
     The form has zero mean by construction (every source is zero-mean),
     so the mean square is an unbiased variance estimate. Deterministic for a
-    given seed; chunks use spawned child seeds and are combined in index
-    order, so a parallel implementation would reproduce the same value.
+    given seed; the draws come from one generator in chunks of at most
+    ``_CHUNK``, which bounds memory and leaves the stream unchanged.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    sigma = math.sqrt(model.variance(form))
-    if sigma == 0.0:
-        return 0.0, 0.0
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sum_sq = 0.0
-    sum_quad = 0.0
-    remaining = n
-    for child in children:
-        rng = np.random.default_rng(child)
-        size = min(_CHUNK, remaining)
-        remaining -= size
-        values = rng.standard_normal(size) * sigma
-        squares = values * values
+    rng = np.random.default_rng(seed)
+    sum_sq = sum_quad = 0.0
+    for start in range(0, n, _CHUNK):
+        squares = rng.standard_normal(min(_CHUNK, n - start))
+        squares *= squares
         sum_sq += float(squares.sum())
         sum_quad += float((squares * squares).sum())
     mean_sq = sum_sq / n
     var_of_sq = max(sum_quad - n * mean_sq * mean_sq, 0.0) / (n - 1)
-    return mean_sq, math.sqrt(var_of_sq / n)
+    v = model.variance(form)
+    if math.isinf(v * mean_sq):  # the standard error, at most the mean, is then finite
+        raise OverflowError(f"sampled variance {v!r} * {mean_sq!r} overflows")
+    return v * mean_sq, v * math.sqrt(var_of_sq / n)
 
 
 def _trace_form(
@@ -130,14 +120,14 @@ def render_trace(
         raise ValueError(f"n_per_point must be >= 1, got {n_per_point}")
 
     model, form = _trace_form(params, kind)
-    norm = swap.snl_reference()
-    sigma = math.sqrt(model.variance(form))
-    children = np.random.SeedSequence(seed).spawn(points)
+    v = model.variance(form) / swap.snl_reference()
+    rng = np.random.default_rng(seed)
     samples: list[tuple[int, float]] = []
-    for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        values = rng.standard_normal(n_per_point) * sigma
-        power = float((values * values).mean()) / norm
+    for index in range(points):
+        z = rng.standard_normal(n_per_point)
+        power = v * float(np.square(z, out=z).mean())  # in place: no second array
+        if math.isinf(power):
+            raise OverflowError(f"point {index} power overflows: V = {v!r}")
         samples.append((index, 10.0 * math.log10(power)))
 
     metadata = {
@@ -153,7 +143,7 @@ def render_trace(
         ),
         "params": asdict(params),
     }
-    return TraceSeries(kind, samples, seed, n_per_point, metadata)
+    return TraceSeries(samples, metadata)
 
 
 def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:

@@ -207,6 +207,12 @@ def test_enl_correction_of_source_measurements():
     assert enl_correct(4.30, 11.3) == pytest.approx(4.9320, abs=1e-3)
 
 
+def test_enl_correction_outside_float_range_is_overflow_error():
+    # a depth of -3082.3 dB (V = 1.7e308) renormalizes by 1 / (1 - V_enl) past the float range
+    with pytest.raises(OverflowError):
+        enl_correct(-3082.3, 11.3)
+
+
 def test_enl_correction_identity_for_deep_floor():
     assert enl_correct(1.23, 300.0) == pytest.approx(1.23, abs=1e-9)
 

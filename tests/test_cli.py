@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cvswap.analytics
-from cvswap import ConfigFile, ExperimentParams, GainSpec
+from cvswap import ConfigFile, ExperimentParams, GainSpec, montecarlo
 from cvswap.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, VERIFY_CHUNK,
                         build_parser, main)
+from conftest import LAB_INTENSITIES, LAB_R1, LAB_R2
 
 
 @pytest.fixture
@@ -482,6 +487,107 @@ def test_montecarlo_negative_seed_is_config_error(config_path, tmp_path, capsys)
     ]) == EXIT_CONFIG
     assert "config error: --seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gain", ["1e153", "6e153", "1.02e154"])
+def test_montecarlo_near_the_float_range_is_finite_or_exits_3(tmp_path, lab_config_text,
+                                                              capsys, gain):
+    # V is 1.6e306, 5.9e307 and 1.7e308: the sampled power is finite, or exit 3 with no file
+    path = tmp_path / "huge.yaml"
+    path.write_text(lab_config_text.replace("mode: optimal", _FIXED + gain))
+    out = tmp_path / "trace.csv"
+    code = run(["montecarlo", "--config", str(path), "--kind", "correlated",
+                "--points", "20", "--out", str(out)])
+    captured = capsys.readouterr()
+    if gain == "1.02e154":
+        assert code == EXIT_PHYSICS
+        assert "result outside floating-point range" in captured.err
+        assert not out.exists() and not out.with_suffix(".meta.yaml").exists()
+        return
+    assert code == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 20 and all(math.isfinite(float(db)) for _, db in rows)
+    pooled = re.search(r"pooled noise power (\S+) dB", captured.out)
+    assert pooled is not None and math.isfinite(float(pooled.group(1)))
+
+
+def test_predict_enl_correction_outside_float_range_exits_3(tmp_path, lab_config_text, capsys):
+    # V = 1.708e308 is finite, but its ENL-corrected depth is not
+    path = tmp_path / "huge.yaml"
+    path.write_text(lab_config_text.replace("mode: optimal", _FIXED + "1.02e154"))
+    for extra in ([], ["--json"]):
+        assert run(["predict", "--config", str(path), *extra]) == EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert "result outside floating-point range" in captured.err
+        assert captured.out == ""
+
+
+# -- every config number at its edges ----------------------------------------------
+
+_EDGES = (0.0, 5e-324, 1e-8, 0.5, 1 - 1e-8, 1.0, 1 + 1e-7, 2.0, 177.0, 179.0, 356.0, 1e300, -0.0)
+_UNIT_EDGES = tuple(x for x in _EDGES if 0 <= x <= 1)
+_POSITIVE_EDGES = tuple(x for x in _EDGES if x > 0)
+_NON_FINITE_TEXT = re.compile(r"(?i)\b(inf|infinity|nan)\b")
+
+
+@st.composite
+def _edge_configs(draw):
+    """A config whose every number is an edge value; half of them keep every range."""
+    edge = st.sampled_from(_EDGES)
+    in_range = draw(st.booleans())
+    unit = st.sampled_from(_UNIT_EDGES) if in_range else edge
+    gain = draw(st.just({"mode": "optimal"})
+                | st.sampled_from(_EDGES + (1e153, 6e153, 1.02e154)).map(
+                    lambda value: {"mode": "fixed", "value": value}))
+    config = {
+        "squeezing": {"r1": draw(edge), "r2": draw(edge)},
+        "efficiencies": {key: draw(unit)
+                         for key in ("xi1_sq", "xi2_sq", "xi3_sq", "xi4_sq", "eta_sq")},
+        "mirror_R": draw(unit),
+        "gain": gain,
+        "blocked": draw(st.booleans()),
+    }
+    enl_db = draw(st.none() | (st.sampled_from(_POSITIVE_EDGES) if in_range else edge))
+    if enl_db is not None:
+        config["enl_db"] = enl_db
+    return config
+
+
+def _lab_config(gain: float) -> dict:
+    efficiencies = dict(LAB_INTENSITIES)
+    mirror_R = efficiencies.pop("mirror_R")
+    return {"squeezing": {"r1": LAB_R1, "r2": LAB_R2}, "efficiencies": efficiencies,
+            "mirror_R": mirror_R, "gain": {"mode": "fixed", "value": gain}, "enl_db": 11.3}
+
+
+@settings(derandomize=True, deadline=None)
+@example(config=_lab_config(6e153), r_bounds=[0.0, 0.5, 0.0, 0.5])  # the trace overflowed
+@example(config=_lab_config(1.02e154), r_bounds=[0.0, 0.5, 0.0, 0.5])  # the ENL depth did
+@given(config=_edge_configs(), r_bounds=st.lists(st.sampled_from(_EDGES), min_size=4,
+                                                 max_size=4))
+def test_edge_configs_exit_cleanly_and_print_no_inf_or_nan(tmp_path_factory, config, r_bounds):
+    workdir = tmp_path_factory.mktemp("edges")
+    path = workdir / "edge.yaml"
+    path.write_text(json.dumps(config))  # a JSON document is a YAML 1.2 document
+    out = workdir / "out.csv"
+    bounds = [repr(b) for b in r_bounds]
+    commands = [
+        ["predict", "--out", str(out)], ["predict", "--json"], ["optimal-gain"], ["verify"],
+        *(["montecarlo", "--kind", kind, "--points", "3", "--n-per-point", "5", "--out", str(out)]
+          for kind in montecarlo.TRACE_KINDS),
+        ["sweep", "--r1", *bounds[:2], "--r2", *bounds[2:], "--steps", "3", "--out", str(out)],
+    ]
+    for command in commands:
+        out.unlink(missing_ok=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = run([*command, "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS, EXIT_VERIFY), command
+        texts = [stdout.getvalue().replace(str(workdir), "")]
+        if code == EXIT_OK and out.exists():
+            texts.append(out.read_text())
+        assert not any(_NON_FINITE_TEXT.search(text) for text in texts), (command, texts)
 
 
 # -- parser ---------------------------------------------------------------------------

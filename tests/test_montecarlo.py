@@ -58,12 +58,14 @@ def test_estimate_rejects_tiny_sample_counts(lab_params):
         estimate_variance(model, handles.victor_plus, 1, seed=0)
 
 
-def test_estimate_chunking_is_seamless():
-    # crossing the internal chunk boundary must not break determinism contracts
-    m = GaussianModel.empty().add_vacuum_mode("v1")
+def test_estimate_chunking_is_seamless(lab_params):
+    # crossing the internal chunk boundary leaves the stream of one unchunked draw
+    model, handles = build_network(lab_params)
     big = (1 << 17) + 123
-    est, se = estimate_variance(m, m.x_form("v1"), big, seed=9)
-    assert abs(est - 1.0) <= 4 * se
+    est, se = estimate_variance(model, handles.victor_plus, big, seed=9)
+    z = np.random.default_rng(9).standard_normal(big)
+    assert est == pytest.approx(model.variance(handles.victor_plus) * np.mean(z * z), rel=1e-12)
+    assert abs(est - V_LAB) <= 4 * se
 
 
 @pytest.mark.parametrize(
@@ -143,13 +145,13 @@ def test_trace_metadata_records_provenance(lab_params):
 
 
 def test_trace_is_one_scaled_draw_per_sample(lab_params):
-    # each sample is sqrt(V) times one standard normal from the point's spawned stream
+    # point k is V times the mean square of the k-th block of unit normals of one stream
     trace = render_trace(lab_params, "correlated", points=3, seed=14, n_per_point=500)
     model, form = _trace_form(lab_params, "correlated")
-    sigma = math.sqrt(model.variance(form))
-    for (_, db), child in zip(trace.samples, np.random.SeedSequence(14).spawn(3)):
-        values = np.random.default_rng(child).standard_normal(500) * sigma
-        assert db == 10.0 * math.log10(float((values * values).mean()) / snl_reference())
+    v = model.variance(form) / snl_reference()
+    z = np.random.default_rng(14).standard_normal((3, 500))
+    for (_, db), z_k in zip(trace.samples, z):
+        assert db == 10.0 * math.log10(v * float(np.mean(z_k**2)))
 
 
 def test_sidecar_names_single_draw_stream(tmp_path, lab_params):
