@@ -30,7 +30,8 @@ def variance_formula(params: ExperimentParams, g_swap):
     if params.batch_shape:
         with np.errstate(**_RAISE):
             return _variance(params, params.r1, params.r2, g_swap, feedforward, np)
-    return _finite(_variance(params, params.r1, params.r2, g_swap, feedforward, math))
+    value = _variance(params, params.r1, params.r2, g_swap, feedforward, math)
+    return _finite("closed form", value)
 
 
 def optimal_gain(params: ExperimentParams) -> float:
@@ -38,7 +39,7 @@ def optimal_gain(params: ExperimentParams) -> float:
 
     Takes one parameter point, not a batch of draws.
     """
-    return _finite(_optimal_gain(params, params.r1, params.r2, math))
+    return _finite("optimal gain", _optimal_gain(params, params.r1, params.r2, math))
 
 
 # -- the closed form ----------------------------------------------------------
@@ -52,11 +53,11 @@ def optimal_gain(params: ExperimentParams) -> float:
 _RAISE = dict(divide="raise", over="raise", invalid="raise")
 
 
-def _finite(value: float) -> float:
-    """``value`` as a built-in float, or OverflowError if it is inf or nan."""
+def _finite(quantity: str, value: float) -> float:
+    """``value`` as a built-in float, or an OverflowError naming ``quantity`` if it is inf or nan."""
     value = float(value)
     if not math.isfinite(value):
-        raise OverflowError(f"closed form evaluates to {value}")
+        raise OverflowError(f"{quantity} evaluates to {value}")
     return value
 
 
@@ -172,7 +173,7 @@ def enl_correct(v_meas_db_below_snl: float, enl_db_below_snl: float) -> float:
     v_enl = 10.0 ** (-enl_db_below_snl / 10.0)
     if v_meas <= v_enl:
         raise ValueError("measured variance is at or below the electronic noise floor")
-    return _finite(-10.0 * math.log10((v_meas - v_enl) / (1.0 - v_enl)))
+    return _finite("ENL-corrected depth", -10.0 * math.log10((v_meas - v_enl) / (1.0 - v_enl)))
 
 
 _SNL_BOUNDARY_TOL = 1e-12

@@ -81,10 +81,25 @@ def _predict_payload(params: ExperimentParams) -> dict:
     if params.enl_db is not None:
         payload["enl_db"] = params.enl_db
         payload["enl_corrected_db_below_snl"] = {
-            "v_plus": analytics.enl_correct(-report.v_plus_db, params.enl_db),
-            "v_minus": analytics.enl_correct(-report.v_minus_db, params.enl_db),
+            "v_plus": _enl_corrected(report.v_plus_db, params.enl_db),
+            "v_minus": _enl_corrected(report.v_minus_db, params.enl_db),
         }
     return payload
+
+
+def _enl_corrected(v_db: float, enl_db: float) -> float | None:
+    """ENL-corrected depth below SNL of a variance at ``v_db``; None where that variance
+    is at or below the electronic noise floor, so the correction is undefined."""
+    try:
+        return analytics.enl_correct(-v_db, enl_db)
+    except ValueError:
+        return None
+
+
+def _fmt_depth(depth: float | None) -> str:
+    if depth is None:
+        return "undefined (at or below the noise floor)"
+    return f"{depth:+.3f} dB below SNL"
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -105,8 +120,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             corr = payload["enl_corrected_db_below_snl"]
             print(
                 f"ENL-corrected ({payload['enl_db']:g} dB below SNL): "
-                f"v_plus {corr['v_plus']:+.3f} dB below SNL, "
-                f"v_minus {corr['v_minus']:+.3f} dB below SNL"
+                f"v_plus {_fmt_depth(corr['v_plus'])}, v_minus {_fmt_depth(corr['v_minus'])}"
             )
     if args.out:
         with open(args.out, "w", newline="") as fh:

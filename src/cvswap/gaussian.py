@@ -25,9 +25,16 @@ two forms, including measured photocurrents fed forward onto other modes, is
 the exact sum ``vecdot(f1 * variances, f2)``, or an ``OverflowError`` when
 that is inf or nan. Nothing is sampled or truncated here.
 
-Models are value-like: every operation returns a new model built on copies,
-and the arrays a model hands out are read-only, so instances can be shared
-across workers.
+Each element has one implementation, on a mutable builder that owns arrays
+allocated once at the network's final size and writes the element's rows and
+columns in place; :meth:`GaussianModel.builder` starts one from a model with
+room for a given number of rows and sources, and freezing it fills a
+read-only model with those same arrays, no copy. A whole network whose size
+is known in advance is assembled on one builder. The element methods of
+:class:`GaussianModel` are value-like instead: each copies the model into a
+builder with exactly the room the element needs, applies it and freezes, so
+the receiver is unchanged. The arrays a model hands out are read-only, so
+instances can be shared across workers.
 """
 
 from __future__ import annotations
@@ -60,11 +67,42 @@ def _exp(x):
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-class GaussianModel:
+class _Modes:
+    """Label and form checks shared by a model and a builder.
+
+    ``_n_sources`` is the number of sources registered so far.
+    """
+
+    variances: np.ndarray
+    labels: dict[str, int]
+    _n_sources: int
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.variances.shape[1:]
+
+    def _row(self, label: str) -> int:
+        try:
+            return self.labels[label]
+        except KeyError:
+            raise ValueError(f"unknown mode {label!r}") from None
+
+    def _width(self, form: np.ndarray) -> int:
+        if form.shape[1:] != self.batch_shape:
+            raise ValueError(f"form has batch shape {form.shape[1:]}, "
+                             f"the model's batch shape is {self.batch_shape}")
+        if len(form) > self._n_sources:
+            raise ValueError(f"form references unregistered source(s): "
+                             f"{len(form)} coefficients, {self._n_sources} sources")
+        return len(form)
+
+
+class GaussianModel(_Modes):
     """Source variances plus the (x, y) coefficient rows of every live mode.
 
     Construct with :meth:`empty`, which fixes the batch shape, and grow with the
     operation methods; each returns a fresh model and leaves the receiver unchanged.
+    A :meth:`builder` grows a model in place instead.
     """
 
     def __init__(self, variances: np.ndarray, rows: np.ndarray, labels: dict[str, int]) -> None:
@@ -78,11 +116,16 @@ class GaussianModel:
     def empty(cls, batch_shape: tuple[int, ...] = ()) -> GaussianModel:
         return cls(np.empty((0, *batch_shape)), np.empty((0, 0, *batch_shape)), {})
 
+    def builder(self, new_rows: int, new_sources: int) -> _Builder:
+        """A mutable copy of this model with room for ``new_rows`` more rows and
+        ``new_sources`` more sources, which must all be filled before it freezes."""
+        return _Builder(self, new_rows, new_sources)
+
     # -- accessors ---------------------------------------------------------
 
     @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.variances.shape[1:]
+    def _n_sources(self) -> int:
+        return len(self.variances)
 
     def x_form(self, label: str) -> np.ndarray:
         return self.rows[self._row(label)]
@@ -90,61 +133,13 @@ class GaussianModel:
     def y_form(self, label: str) -> np.ndarray:
         return self.rows[self._row(label) + 1]
 
-    # -- construction helpers ----------------------------------------------
-
-    def _row(self, label: str) -> int:
-        try:
-            return self.labels[label]
-        except KeyError:
-            raise ValueError(f"unknown mode {label!r}") from None
-
-    def _param(self, value):
-        """``value``, checked to be a float or an array over the model's batch."""
-        shape = getattr(value, "shape", ())
-        if shape and shape != self.batch_shape:
-            raise ValueError(f"element parameter has shape {shape}, "
-                             f"the model's batch shape is {self.batch_shape}")
-        return value
-
-    def _width(self, form: np.ndarray) -> int:
-        if form.shape[1:] != self.batch_shape:
-            raise ValueError(f"form has batch shape {form.shape[1:]}, "
-                             f"the model's batch shape is {self.batch_shape}")
-        if len(form) > len(self.variances):
-            raise ValueError(f"form references unregistered source(s): "
-                             f"{len(form)} coefficients, {len(self.variances)} sources")
-        return len(form)
-
-    def _grow(self, new_rows: int = 0, new_variances: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
-        """Writable copies of ``rows`` and ``variances`` plus ``new_rows`` zero rows and one
-        zero source column per entry of ``new_variances`` (a float or an array over the batch)."""
-        n_rows, n_sources = self.rows.shape[:2]
-        rows = np.zeros((n_rows + new_rows, n_sources + len(new_variances), *self.batch_shape))
-        rows[:n_rows, :n_sources] = self.rows
-        variances = np.empty(rows.shape[1:])
-        variances[:n_sources] = self.variances
-        for k, value in enumerate(new_variances, n_sources):
-            variances[k] = value
-        return rows, variances
-
-    def _attach(self, labels: tuple[str, ...], source_variances: tuple,
-                block: np.ndarray) -> GaussianModel:
-        """Append sources and new modes whose (x, y) rows are ``block`` over those sources."""
-        rows, variances = self._grow(len(block), source_variances)
-        # transposed, the batch axes lead and ``block.T`` broadcasts over them
-        rows[-len(block):, -block.shape[1]:].T[...] = block.T
-        new = {label: len(self.rows) + 2 * k for k, label in enumerate(labels)}
-        return GaussianModel(variances, rows, self.labels | new)
-
     # -- operations ----------------------------------------------------------
     #
     # Every element parameter is a float or an array of the model's batch shape.
 
     def add_vacuum_mode(self, label: str) -> GaussianModel:
         """Attach a fresh vacuum mode: unit variance on both quadratures."""
-        if label in self.labels:
-            raise ValueError(f"mode label {label!r} already in use")
-        return self._attach((label,), (1.0, 1.0), _VACUUM_ROWS)
+        return self.builder(2, 2).add_vacuum_mode(label).freeze()
 
     def add_epr_pair(self, labels: tuple[str, str], r) -> GaussianModel:
         """Attach a two-mode squeezed pair with squeezing parameter ``r``.
@@ -155,14 +150,7 @@ class GaussianModel:
         hold those joint variances; the single-mode forms are rebuilt from
         them, which makes every cross-covariance downstream exact.
         """
-        la, lb = labels
-        if any_draw(r < 0):
-            raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-        if la in self.labels or lb in self.labels or la == lb:
-            raise ValueError(f"mode labels {labels!r} must be fresh and distinct")
-        r = self._param(r)
-        quiet, loud = _exp(-2.0 * r), _exp(+2.0 * r)
-        return self._attach(labels, (quiet, loud, loud, quiet), _EPR_ROWS)
+        return self.builder(4, 4).add_epr_pair(labels, r).freeze()
 
     def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude) -> GaussianModel:
         """Mix two modes: x1' = t x1 + sqrt(1-t^2) x2, x2' = -sqrt(1-t^2) x1 + t x2.
@@ -170,24 +158,11 @@ class GaussianModel:
         Same rotation on the y quadratures. ``t = 1`` leaves every stored
         coefficient unchanged.
         """
-        check_unit("transmittance amplitude", transmittance_amplitude)
-        t = self._param(transmittance_amplitude)
-        i, j = self._row(labels[0]), self._row(labels[1])
-        rows, variances = self._grow()
-        rt = np.sqrt(1.0 - t * t)
-        first, second = rows[i : i + 2], rows[j : j + 2]
-        rows[i : i + 2], rows[j : j + 2] = first * t + second * rt, first * -rt + second * t
-        return GaussianModel(variances, rows, self.labels)
+        return self.builder(0, 0).beamsplitter(labels, transmittance_amplitude).freeze()
 
     def loss(self, label: str, xi) -> GaussianModel:
         """Amplitude transmission ``xi`` with fresh vacuum entering the open port."""
-        check_unit("amplitude transmission", xi)
-        xi = self._param(xi)
-        i = self._row(label)
-        rows, variances = self._grow(0, (1.0, 1.0))
-        rows[i : i + 2] *= xi
-        rows[i, -2] = rows[i + 1, -1] = np.sqrt(1.0 - xi * xi)
-        return GaussianModel(variances, rows, self.labels)
+        return self.builder(0, 2).loss(label, xi).freeze()
 
     def displace_by_form(self, label: str, x_add: np.ndarray, y_add: np.ndarray,
                          gain) -> GaussianModel:
@@ -199,13 +174,7 @@ class GaussianModel:
         exactly. A form taken before later sources were added is zero on
         them.
         """
-        i = self._row(label)
-        nx, ny = self._width(x_add), self._width(y_add)
-        gain = self._param(gain)
-        rows, variances = self._grow()
-        rows[i, :nx] += x_add * gain
-        rows[i + 1, :ny] += y_add * gain
-        return GaussianModel(variances, rows, self.labels)
+        return self.builder(0, 0).displace_by_form(label, x_add, y_add, gain).freeze()
 
     # -- second moments ------------------------------------------------------
 
@@ -232,3 +201,111 @@ class GaussianModel:
         weighted = np.ascontiguousarray(np.moveaxis(forms * self.variances, 1, -1))
         forms = np.ascontiguousarray(np.moveaxis(forms, 1, -1))
         return np.vecdot(weighted[:, None], forms[None, :])
+
+
+class _Builder(_Modes):
+    """A model under construction, grown in place on arrays of its final size.
+
+    ``rows[:_n_rows, :_n_sources]`` and ``variances[:_n_sources]`` are filled;
+    the rest is zero until an element claims it. Each element method checks
+    its arguments, writes its rows and columns and returns the builder, so
+    elements chain. A form taken here is a snapshot: later elements do not
+    change it.
+    """
+
+    def __init__(self, model: GaussianModel, new_rows: int, new_sources: int) -> None:
+        n_rows, n_sources = model.rows.shape[:2]
+        self.rows = np.zeros((n_rows + new_rows, n_sources + new_sources, *model.batch_shape))
+        self.variances = np.zeros(self.rows.shape[1:])
+        self.rows[:n_rows, :n_sources] = model.rows
+        self.variances[:n_sources] = model.variances
+        self.labels = dict(model.labels)
+        self._n_rows, self._n_sources = n_rows, n_sources
+
+    def freeze(self) -> GaussianModel:
+        """The read-only model on this builder's arrays; the builder is spent."""
+        if (self._n_rows, self._n_sources) != self.rows.shape[:2]:
+            raise RuntimeError(f"network filled {self._n_rows} rows and {self._n_sources} "
+                               f"sources of the {self.rows.shape[:2]} it declared")
+        return GaussianModel(self.variances, self.rows, self.labels)
+
+    def x_form(self, label: str) -> np.ndarray:
+        return self.rows[self._row(label), : self._n_sources].copy()
+
+    def y_form(self, label: str) -> np.ndarray:
+        return self.rows[self._row(label) + 1, : self._n_sources].copy()
+
+    def _param(self, value):
+        """``value``, checked to be a float or an array over the batch."""
+        shape = getattr(value, "shape", ())
+        if shape and shape != self.batch_shape:
+            raise ValueError(f"element parameter has shape {shape}, "
+                             f"the model's batch shape is {self.batch_shape}")
+        return value
+
+    def _claim(self, n_rows: int, n_sources: int) -> tuple[int, int]:
+        """The first index of the next ``n_rows`` rows and ``n_sources`` sources, now in use."""
+        i, s = self._n_rows, self._n_sources
+        if i + n_rows > len(self.rows) or s + n_sources > len(self.variances):
+            raise RuntimeError(f"network outgrows the {self.rows.shape[:2]} rows and "
+                               f"sources it declared")
+        self._n_rows, self._n_sources = i + n_rows, s + n_sources
+        return i, s
+
+    def _add_modes(self, labels: tuple[str, ...], source_variances: tuple,
+                   block: np.ndarray) -> _Builder:
+        """Claim sources and new modes whose (x, y) rows are ``block`` over those sources."""
+        i, s = self._claim(*block.shape)
+        for k, value in enumerate(source_variances, s):
+            self.variances[k] = value
+        # transposed, the batch axes lead and ``block.T`` broadcasts over them
+        self.rows[i : i + block.shape[0], s : s + block.shape[1]].T[...] = block.T
+        self.labels.update({label: i + 2 * k for k, label in enumerate(labels)})
+        return self
+
+    # -- elements (see the GaussianModel methods of the same names) -----------
+
+    def add_vacuum_mode(self, label: str) -> _Builder:
+        if label in self.labels:
+            raise ValueError(f"mode label {label!r} already in use")
+        return self._add_modes((label,), (1.0, 1.0), _VACUUM_ROWS)
+
+    def add_epr_pair(self, labels: tuple[str, str], r) -> _Builder:
+        la, lb = labels
+        if any_draw(r < 0):
+            raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+        if la in self.labels or lb in self.labels or la == lb:
+            raise ValueError(f"mode labels {labels!r} must be fresh and distinct")
+        r = self._param(r)
+        quiet, loud = _exp(-2.0 * r), _exp(+2.0 * r)
+        return self._add_modes(labels, (quiet, loud, loud, quiet), _EPR_ROWS)
+
+    def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude) -> _Builder:
+        check_unit("transmittance amplitude", transmittance_amplitude)
+        t = self._param(transmittance_amplitude)
+        i, j = self._row(labels[0]), self._row(labels[1])
+        n = self._n_sources
+        rt = np.sqrt(1.0 - t * t)
+        first, second = self.rows[i : i + 2, :n], self.rows[j : j + 2, :n]
+        # both right-hand sides are evaluated before either view is written
+        first[...], second[...] = first * t + second * rt, first * -rt + second * t
+        return self
+
+    def loss(self, label: str, xi) -> _Builder:
+        check_unit("amplitude transmission", xi)
+        xi = self._param(xi)
+        i = self._row(label)
+        _, s = self._claim(0, 2)
+        self.variances[s : s + 2] = 1.0
+        self.rows[i : i + 2, :s] *= xi
+        self.rows[i, s] = self.rows[i + 1, s + 1] = np.sqrt(1.0 - xi * xi)
+        return self
+
+    def displace_by_form(self, label: str, x_add: np.ndarray, y_add: np.ndarray,
+                         gain) -> _Builder:
+        i = self._row(label)
+        nx, ny = self._width(x_add), self._width(y_add)
+        gain = self._param(gain)
+        self.rows[i, :nx] += x_add * gain
+        self.rows[i + 1, :ny] += y_add * gain
+        return self

@@ -16,7 +16,9 @@ a and d are verified together.
 :class:`ExperimentParams`); a batch is one network over the trailing batch
 axis of :class:`GaussianModel`, assembled by the same elements in the same order.
 The model is created with the batch shape of the parameters, which no element
-changes. A variance outside floating-point range is an ``OverflowError``.
+changes, and built in place on one builder sized to the whole network (see
+:mod:`cvswap.gaussian`), still one element at a time. A variance outside
+floating-point range is an ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .gaussian import GaussianModel
 from .params import ExperimentParams, VarianceReport, any_draw
 
 _SQRT2 = math.sqrt(2.0)
+
+# five modes of two rows each; two pairs of four sources each, and one vacuum
+# mode and nine losses of two each
+_NETWORK_ROWS, _NETWORK_SOURCES = 10, 28
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,23 +96,22 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     """Assemble the swap chain and return the model plus measurement handles."""
     g_swap = resolve_gain(params)
 
-    m = GaussianModel.empty(params.batch_shape)
-    m = m.add_epr_pair(("a", "b"), params.r1)
-    m = m.add_epr_pair(("c", "d"), params.r2)
+    net = GaussianModel.empty(params.batch_shape).builder(_NETWORK_ROWS, _NETWORK_SOURCES)
+    net.add_epr_pair(("a", "b"), params.r1).add_epr_pair(("c", "d"), params.r2)
 
     # transmission to the joint measurement, then the 50:50 mixing
-    m = m.loss("b", params.xi1).loss("c", params.xi1)
-    m = m.beamsplitter(("b", "c"), 1.0 / _SQRT2)  # b -> sum port, c -> difference port
+    net.loss("b", params.xi1).loss("c", params.xi1)
+    net.beamsplitter(("b", "c"), 1.0 / _SQRT2)  # b -> sum port, c -> difference port
 
     # detector efficiency on both outputs, then the two photocurrents;
     # the negative power combiner flips the difference port so that
     # i_minus tracks y_b - y_c
-    m = m.loss("b", params.eta).loss("c", params.eta)
-    i_plus = m.x_form("b")
-    i_minus = -m.y_form("c")
+    net.loss("b", params.eta).loss("c", params.eta)
+    i_plus = net.x_form("b")
+    i_minus = -net.y_form("c")
 
     # the kept beam decays over its own path before the coupling mirror
-    m = m.loss("d", params.xi2)
+    net.loss("d", params.xi2)
 
     # modulated auxiliary beam: vacuum fluctuations around a bright mean
     # (the mean only matters for intensity matching, never for variances),
@@ -115,17 +120,18 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     # which holds only a few digits of sqrt(1 - R) as R -> 1. The electronic
     # gain is therefore set for the mirror as built, R' = t*t; set for R, it
     # put the oracle 1.2e-9 off at R = 1 - 6e-8 and 12 % off at R = 1 - 1e-15.
-    m = m.add_vacuum_mode("beta")
+    net.add_vacuum_mode("beta")
     t_mirror = np.sqrt(params.mirror_R)
     if any_draw(g_swap != 0.0):
         built = replace(params, mirror_R=t_mirror * t_mirror)
         g_electronic = analytics.gain_to_electronic(g_swap, built)
-        m = m.displace_by_form("beta", i_plus, i_minus, g_electronic)
-    m = m.beamsplitter(("d", "beta"), t_mirror)
+        net.displace_by_form("beta", i_plus, i_minus, g_electronic)
+    net.beamsplitter(("d", "beta"), t_mirror)
 
     # remaining transmissions and the verification detectors
-    m = m.loss("a", params.xi3).loss("d", params.xi4)
-    m = m.loss("a", params.eta).loss("d", params.eta)
+    net.loss("a", params.xi3).loss("d", params.xi4)
+    net.loss("a", params.eta).loss("d", params.eta)
+    m = net.freeze()
 
     k = 1.0 / _SQRT2
     handles = NetworkHandles(

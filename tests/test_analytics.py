@@ -209,8 +209,14 @@ def test_enl_correction_of_source_measurements():
 
 def test_enl_correction_outside_float_range_is_overflow_error():
     # a depth of -3082.3 dB (V = 1.7e308) renormalizes by 1 / (1 - V_enl) past the float range
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="^ENL-corrected depth evaluates to -inf$"):
         enl_correct(-3082.3, 11.3)
+
+
+def test_closed_form_overflow_names_the_closed_form(lab_params):
+    # (g eta xi4)^2 = 8e199 and exp(2 r1) = 5e173 are finite, their product is not
+    with pytest.raises(OverflowError, match="^closed form evaluates to inf$"):
+        variance_formula(replace(lab_params, r1=200.0), 1e100)
 
 
 def test_enl_correction_identity_for_deep_floor():

@@ -57,6 +57,23 @@ def test_predict_json_output(config_path, capsys):
     assert payload["enl_corrected_db_below_snl"]["v_plus"] == pytest.approx(1.572, abs=1e-2)
 
 
+def test_predict_reports_an_undefined_enl_correction(tmp_path, lab_config_text, capsys):
+    # a floor 0.5 dB below SNL sits above V = 0.719: only the corrected depths are undefined
+    path = tmp_path / "shallow-floor.yaml"
+    path.write_text(lab_config_text.replace("enl_db: 11.3", "enl_db: 0.5"))
+    assert run(["predict", "--config", str(path), "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["v_plus"] == pytest.approx(0.718797, abs=1e-5)
+    assert payload["entangled"] is True
+    assert payload["enl_db"] == 0.5
+    assert payload["enl_corrected_db_below_snl"] == {"v_plus": None, "v_minus": None}
+    assert run(["predict", "--config", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "v_plus    = 0.718797" in out and "entangled = yes" in out
+    assert ("ENL-corrected (0.5 dB below SNL): v_plus undefined (at or below the noise floor), "
+            "v_minus undefined (at or below the noise floor)") in out
+
+
 def test_predict_blocked_config(tmp_path, lab_config_text, capsys):
     path = tmp_path / "blocked.yaml"
     path.write_text(lab_config_text + "blocked: true\n")
@@ -520,6 +537,8 @@ def test_predict_enl_correction_outside_float_range_exits_3(tmp_path, lab_config
         assert run(["predict", "--config", str(path), *extra]) == EXIT_PHYSICS
         captured = capsys.readouterr()
         assert "result outside floating-point range" in captured.err
+        assert "ENL-corrected depth evaluates to -inf" in captured.err
+        assert "closed form" not in captured.err
         assert captured.out == ""
 
 

@@ -485,3 +485,35 @@ def test_covariance_matrix_matches_pairwise_covariance():
     for i, fi in enumerate(forms):
         for j, fj in enumerate(forms):
             assert sigma[i, j] == pytest.approx(m.covariance(fi, fj), rel=1e-12, abs=1e-15)
+
+
+# -- the builder ----------------------------------------------------------------------
+
+
+def test_form_taken_mid_build_is_a_snapshot():
+    for scale in ONE_POINT_AND_BATCH:
+        net = GaussianModel.empty(np.shape(scale)).builder(6, 8)
+        net.add_epr_pair(("a", "b"), 0.5 * scale).add_vacuum_mode("v")
+        x_a, y_a = net.x_form("a"), net.y_form("a")
+        taken = x_a.copy(), y_a.copy()
+        net.loss("a", 0.6 * scale).beamsplitter(("a", "v"), 0.8)
+        m = net.freeze()
+        assert x_a.tobytes() == taken[0].tobytes() and y_a.tobytes() == taken[1].tobytes()
+        assert not np.array_equal(m.x_form("a")[: len(x_a)], x_a)
+        before = GaussianModel.empty(np.shape(scale)).add_epr_pair(("a", "b"), 0.5 * scale)
+        assert np.array_equal(m.variance(x_a), before.add_vacuum_mode("v").variance(x_a))
+
+
+def test_builder_freezes_only_at_its_declared_size():
+    net = GaussianModel.empty().builder(4, 6).add_epr_pair(("a", "b"), 0.5)
+    with pytest.raises(RuntimeError, match=r"filled 4 rows and 4 sources of the \(4, 6\)"):
+        net.freeze()
+    net.loss("a", 0.9)
+    with pytest.raises(RuntimeError, match=r"outgrows the \(4, 6\)"):
+        net.loss("b", 0.9)
+    with pytest.raises(RuntimeError, match=r"outgrows the \(4, 6\)"):
+        net.add_vacuum_mode("v")
+    m = net.freeze()
+    assert m.rows.shape == (4, 6) and m.variances.shape == (6,)
+    with pytest.raises(ValueError, match="read-only"):
+        net.beamsplitter(("a", "b"), 0.5)  # a frozen builder's arrays are the model's

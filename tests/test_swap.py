@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from cvswap import (
     GaussianModel,
     build_network,
     duan_verdict,
+    gain_to_electronic,
     run_experiment,
     single_mode_noise,
     snl_reference,
     variance_formula,
 )
 from cvswap.cli import DRAW_HIGH, DRAW_LOW
-from cvswap.swap import verification_variances
+from cvswap.swap import resolve_gain, verification_variances
 from conftest import make_lab_params
 
 SQRT2 = math.sqrt(2.0)
@@ -359,3 +361,60 @@ def test_full_mirror_with_gain_is_rejected(lab_params):
     sealed = replace(lab_params, mirror_R=1.0, gain=GainSpec.fixed(0.5))
     with pytest.raises(ValueError, match="feedforward port"):
         run_experiment(sealed)
+
+
+# -- the in-place build ---------------------------------------------------------------
+
+
+def _swap_elements(m, p, g_electronic):
+    """build_network's elements in its order, on a frozen model (each returns a new one)
+    or on a builder (each returns the builder)."""
+    m = m.add_epr_pair(("a", "b"), p.r1).add_epr_pair(("c", "d"), p.r2)
+    m = m.loss("b", p.xi1).loss("c", p.xi1).beamsplitter(("b", "c"), 1.0 / SQRT2)
+    m = m.loss("b", p.eta).loss("c", p.eta)
+    i_plus, i_minus = m.x_form("b"), -m.y_form("c")
+    m = m.loss("d", p.xi2).add_vacuum_mode("beta")
+    t_mirror = np.sqrt(p.mirror_R)
+    m = m.displace_by_form("beta", i_plus, i_minus, g_electronic(t_mirror))
+    m = m.beamsplitter(("d", "beta"), t_mirror)
+    return m.loss("a", p.xi3).loss("d", p.xi4).loss("a", p.eta).loss("d", p.eta)
+
+
+def test_build_network_matches_the_frozen_element_chain_bit_for_bit(lab_params):
+    rng = np.random.default_rng(47)
+    *physics, g_swap = rng.uniform(DRAW_LOW, DRAW_HIGH, size=(64, 9)).T
+    batch = ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))
+    for params in (lab_params, batch):
+        model, _ = build_network(params)
+
+        def electronic(t_mirror, params=params):
+            built = replace(params, mirror_R=t_mirror * t_mirror)
+            return gain_to_electronic(resolve_gain(params), built)
+
+        chain = _swap_elements(GaussianModel.empty(params.batch_shape), params, electronic)
+        assert model.rows.tobytes() == chain.rows.tobytes()
+        assert model.variances.tobytes() == chain.variances.tobytes()
+        assert model.labels == chain.labels
+
+
+def test_builder_matches_the_frozen_element_chain_on_a_2d_batch():
+    # ExperimentParams holds one batch axis; the elements take any batch shape
+    rng = np.random.default_rng(53)
+    fields = ("r1", "r2", "xi1", "xi2", "xi3", "xi4", "eta", "mirror_R")
+    p = SimpleNamespace(**{name: rng.uniform(low, high, size=(3, 5)) for name, low, high
+                           in zip(fields, DRAW_LOW, DRAW_HIGH)})
+    gain = rng.uniform(0.0, 10.0, size=(3, 5))
+    built = _swap_elements(GaussianModel.empty((3, 5)).builder(10, 28), p, lambda t: gain).freeze()
+    chain = _swap_elements(GaussianModel.empty((3, 5)), p, lambda t: gain)
+    assert built.rows.shape == (10, 28, 3, 5)
+    assert built.rows.tobytes() == chain.rows.tobytes()
+    assert built.variances.tobytes() == chain.variances.tobytes()
+
+
+def test_built_network_arrays_are_read_only(lab_params):
+    *physics, g_swap = np.random.default_rng(59).uniform(DRAW_LOW, DRAW_HIGH, size=(8, 9)).T
+    for params in (lab_params, ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))):
+        model, handles = build_network(params)
+        for array in (model.rows, model.variances, model.x_form("a"), model.y_form("d")):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
