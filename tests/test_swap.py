@@ -414,7 +414,7 @@ def test_builder_matches_the_frozen_element_chain_on_a_2d_batch():
 def test_built_network_arrays_are_read_only(lab_params):
     *physics, g_swap = np.random.default_rng(59).uniform(DRAW_LOW, DRAW_HIGH, size=(8, 9)).T
     for params in (lab_params, ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))):
-        model, handles = build_network(params)
+        model, _ = build_network(params)
         for array in (model.rows, model.variances, model.x_form("a"), model.y_form("d")):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7.0
