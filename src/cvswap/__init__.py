@@ -20,12 +20,7 @@ from .config import ConfigError, ConfigFile
 from .gaussian import GaussianModel
 from .montecarlo import estimate_variance, render_trace, write_trace_csv
 from .params import ExperimentParams, GainSpec, VarianceReport
-from .swap import (
-    build_network,
-    run_experiment,
-    single_mode_noise,
-    snl_reference,
-)
+from .swap import build_network, run_experiment, snl_reference
 
 __version__ = "0.4.0"
 
@@ -47,7 +42,6 @@ __all__ = [
     "r_from_db",
     "render_trace",
     "run_experiment",
-    "single_mode_noise",
     "snl_reference",
     "sweep_surface",
     "variance_formula",

@@ -125,12 +125,21 @@ def gain_to_electronic(g_swap, params: ExperimentParams):
     ``g_swap`` maps to 0 and needs no feedforward port, so such a draw may
     have mirror_R = 1.
     """
+    return electronic_gain(g_swap, params.mirror_R, params.eta, params.xi1)
+
+
+def electronic_gain(g_swap, mirror_R, eta, xi1):
+    """:func:`gain_to_electronic` on the three parameters it uses.
+
+    The network passes the reflectivity of the mirror it builds (see
+    :func:`cvswap.swap.build_network`) instead of building new params for it.
+    """
     unused = g_swap == 0.0
-    if not every_draw(unused | (params.mirror_R < 1.0)):
+    if not every_draw(unused | (mirror_R < 1.0)):
         raise ValueError("mirror_R = 1 leaves no feedforward port")
-    if not every_draw(unused | ((params.eta != 0) & (params.xi1 != 0))):
+    if not every_draw(unused | ((eta != 0) & (xi1 != 0))):
         raise ValueError("eta and xi1 must be > 0 to set an electronic gain")
-    port = np.sqrt(1.0 - params.mirror_R) * params.eta * params.xi1
+    port = np.sqrt(1.0 - mirror_R) * eta * xi1
     # a draw without gain divides 0 by port + 1, since its port may be closed
     with np.errstate(over="ignore"):
         g = math.sqrt(2.0) * g_swap / (port + unused)

@@ -27,14 +27,11 @@ that is inf or nan. Nothing is sampled or truncated here.
 
 Each element has one implementation, on a mutable builder that owns arrays
 allocated once at the network's final size and writes the element's rows and
-columns in place; :meth:`GaussianModel.builder` starts one from a model with
-room for a given number of rows and sources, and freezing it fills a
-read-only model with those same arrays, no copy. A whole network whose size
-is known in advance is assembled on one builder. The element methods of
-:class:`GaussianModel` are value-like instead: each copies the model into a
-builder with exactly the room the element needs, applies it and freezes, so
-the receiver is unchanged. The arrays a model hands out are read-only, so
-instances can be shared across workers.
+columns in place. :meth:`GaussianModel.builder` starts one from a model with
+room for a given number of rows and sources; freezing it checks that the room
+is filled and hands the same arrays, no copy, to a new read-only model. The
+model a builder starts from is copied, not changed, and the arrays a model
+hands out are read-only, so instances can be shared across workers.
 """
 
 from __future__ import annotations
@@ -100,9 +97,8 @@ class _Modes:
 class GaussianModel(_Modes):
     """Source variances plus the (x, y) coefficient rows of every live mode.
 
-    Construct with :meth:`empty`, which fixes the batch shape, and grow with the
-    operation methods; each returns a fresh model and leaves the receiver unchanged.
-    A :meth:`builder` grows a model in place instead.
+    Construct with :meth:`empty`, which fixes the batch shape, and grow on a
+    :meth:`builder`, which leaves the receiver unchanged.
     """
 
     def __init__(self, variances: np.ndarray, rows: np.ndarray, labels: dict[str, int]) -> None:
@@ -133,49 +129,6 @@ class GaussianModel(_Modes):
     def y_form(self, label: str) -> np.ndarray:
         return self.rows[self._row(label) + 1]
 
-    # -- operations ----------------------------------------------------------
-    #
-    # Every element parameter is a float or an array of the model's batch shape.
-
-    def add_vacuum_mode(self, label: str) -> GaussianModel:
-        """Attach a fresh vacuum mode: unit variance on both quadratures."""
-        return self.builder(2, 2).add_vacuum_mode(label).freeze()
-
-    def add_epr_pair(self, labels: tuple[str, str], r) -> GaussianModel:
-        """Attach a two-mode squeezed pair with squeezing parameter ``r``.
-
-        Convention (amplitudes anticorrelated, phases correlated):
-        Var((x1+x2)/sqrt2) = Var((y1-y2)/sqrt2) = exp(-2r), and the two
-        orthogonal joint quadratures carry exp(+2r). Four dedicated sources
-        hold those joint variances; the single-mode forms are rebuilt from
-        them, which makes every cross-covariance downstream exact.
-        """
-        return self.builder(4, 4).add_epr_pair(labels, r).freeze()
-
-    def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude) -> GaussianModel:
-        """Mix two modes: x1' = t x1 + sqrt(1-t^2) x2, x2' = -sqrt(1-t^2) x1 + t x2.
-
-        Same rotation on the y quadratures. ``t = 1`` leaves every stored
-        coefficient unchanged.
-        """
-        return self.builder(0, 0).beamsplitter(labels, transmittance_amplitude).freeze()
-
-    def loss(self, label: str, xi) -> GaussianModel:
-        """Amplitude transmission ``xi`` with fresh vacuum entering the open port."""
-        return self.builder(0, 2).loss(label, xi).freeze()
-
-    def displace_by_form(self, label: str, x_add: np.ndarray, y_add: np.ndarray,
-                         gain) -> GaussianModel:
-        """Add ``gain`` times the given forms to a mode's quadratures.
-
-        This is how classical feedforward of measured photocurrents is
-        represented: the photocurrent is itself a form over the model's
-        sources, so its correlations with every remaining mode survive
-        exactly. A form taken before later sources were added is zero on
-        them.
-        """
-        return self.builder(0, 0).displace_by_form(label, x_add, y_add, gain).freeze()
-
     # -- second moments ------------------------------------------------------
 
     def covariance(self, f1: np.ndarray, f2: np.ndarray):
@@ -194,13 +147,6 @@ class GaussianModel(_Modes):
 
     def variance(self, form: np.ndarray):
         return self.covariance(form, form)
-
-    def covariance_matrix(self, labels: tuple[str, ...] | list[str]) -> np.ndarray:
-        """Covariance matrix of L listed modes in (x1, y1, x2, ...) order: ``(2L, 2L, *batch)``."""
-        forms = self.rows[[self._row(label) + q for label in labels for q in (0, 1)]]
-        weighted = np.ascontiguousarray(np.moveaxis(forms * self.variances, 1, -1))
-        forms = np.ascontiguousarray(np.moveaxis(forms, 1, -1))
-        return np.vecdot(weighted[:, None], forms[None, :])
 
 
 class _Builder(_Modes):
@@ -263,14 +209,25 @@ class _Builder(_Modes):
         self.labels.update({label: i + 2 * k for k, label in enumerate(labels)})
         return self
 
-    # -- elements (see the GaussianModel methods of the same names) -----------
+    # -- elements ------------------------------------------------------------
+    #
+    # Every element parameter is a float or an array of the model's batch shape.
 
     def add_vacuum_mode(self, label: str) -> _Builder:
+        """Attach a fresh vacuum mode: unit variance on both quadratures."""
         if label in self.labels:
             raise ValueError(f"mode label {label!r} already in use")
         return self._add_modes((label,), (1.0, 1.0), _VACUUM_ROWS)
 
     def add_epr_pair(self, labels: tuple[str, str], r) -> _Builder:
+        """Attach a two-mode squeezed pair with squeezing parameter ``r``.
+
+        Convention (amplitudes anticorrelated, phases correlated):
+        Var((x1+x2)/sqrt2) = Var((y1-y2)/sqrt2) = exp(-2r), and the two
+        orthogonal joint quadratures carry exp(+2r). Four dedicated sources
+        hold those joint variances; the single-mode forms are rebuilt from
+        them, which makes every cross-covariance downstream exact.
+        """
         la, lb = labels
         if any_draw(r < 0):
             raise ValueError(f"squeezing parameter must be >= 0, got {r}")
@@ -281,6 +238,11 @@ class _Builder(_Modes):
         return self._add_modes(labels, (quiet, loud, loud, quiet), _EPR_ROWS)
 
     def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude) -> _Builder:
+        """Mix two modes: x1' = t x1 + sqrt(1-t^2) x2, x2' = -sqrt(1-t^2) x1 + t x2.
+
+        Same rotation on the y quadratures. ``t = 1`` leaves every stored
+        coefficient unchanged.
+        """
         check_unit("transmittance amplitude", transmittance_amplitude)
         t = self._param(transmittance_amplitude)
         i, j = self._row(labels[0]), self._row(labels[1])
@@ -292,6 +254,7 @@ class _Builder(_Modes):
         return self
 
     def loss(self, label: str, xi) -> _Builder:
+        """Amplitude transmission ``xi`` with fresh vacuum entering the open port."""
         check_unit("amplitude transmission", xi)
         xi = self._param(xi)
         i = self._row(label)
@@ -303,6 +266,14 @@ class _Builder(_Modes):
 
     def displace_by_form(self, label: str, x_add: np.ndarray, y_add: np.ndarray,
                          gain) -> _Builder:
+        """Add ``gain`` times the given forms to a mode's quadratures.
+
+        This is how classical feedforward of measured photocurrents is
+        represented: the photocurrent is itself a form over the model's
+        sources, so its correlations with every remaining mode survive
+        exactly. A form taken before later sources were added is zero on
+        them.
+        """
         i = self._row(label)
         nx, ny = self._width(x_add), self._width(y_add)
         gain = self._param(gain)

@@ -92,16 +92,14 @@ def _trace_form(
 ) -> tuple[GaussianModel, np.ndarray]:
     if kind == "snl":
         return swap.snl_network()
+    if kind in ("single_mode_a", "single_mode_dprime"):
+        return swap.single_mode_form(params, kind.removeprefix("single_mode_"))
+    if kind not in ("correlated", "blocked"):
+        raise ValueError(f"unknown trace kind {kind!r}: expected one of {TRACE_KINDS}")
     if kind == "blocked":
         params = replace(params, channel_blocked=True)
     model, handles = swap.build_network(params)
-    if kind in ("correlated", "blocked"):
-        return model, handles.victor_plus
-    if kind == "single_mode_a":
-        return model, model.x_form(handles.mode_a)
-    if kind == "single_mode_dprime":
-        return model, model.x_form(handles.mode_dprime)
-    raise ValueError(f"unknown trace kind {kind!r}: expected one of {TRACE_KINDS}")
+    return model, handles.victor_plus
 
 
 def render_trace(

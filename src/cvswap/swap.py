@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +42,12 @@ _NETWORK_ROWS, _NETWORK_SOURCES = 10, 28
 
 @dataclass(frozen=True, eq=False)
 class NetworkHandles:
-    """Labels and measurement forms exposed by :func:`build_network`.
+    """Measurement forms and applied gain exposed by :func:`build_network`.
 
     Compared by identity: the forms are arrays, which have no single truth
     value for a field-by-field ``==``.
     """
 
-    mode_a: str
-    mode_dprime: str
     i_plus: np.ndarray        # amplitude-sum photocurrent of the joint measurement
     i_minus: np.ndarray       # phase-difference photocurrent
     victor_plus: np.ndarray   # verification amplitude-sum current
@@ -59,7 +57,7 @@ class NetworkHandles:
 
 def snl_network() -> tuple[GaussianModel, np.ndarray]:
     """Two fresh vacua and the joint amplitude-sum current on them."""
-    m = GaussianModel.empty().add_vacuum_mode("v1").add_vacuum_mode("v2")
+    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
     return m, (m.x_form("v1") + m.x_form("v2")) * (1.0 / _SQRT2)
 
 
@@ -123,8 +121,8 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     net.add_vacuum_mode("beta")
     t_mirror = np.sqrt(params.mirror_R)
     if any_draw(g_swap != 0.0):
-        built = replace(params, mirror_R=t_mirror * t_mirror)
-        g_electronic = analytics.gain_to_electronic(g_swap, built)
+        g_electronic = analytics.electronic_gain(g_swap, t_mirror * t_mirror,
+                                                 params.eta, params.xi1)
         net.displace_by_form("beta", i_plus, i_minus, g_electronic)
     net.beamsplitter(("d", "beta"), t_mirror)
 
@@ -135,8 +133,6 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
 
     k = 1.0 / _SQRT2
     handles = NetworkHandles(
-        mode_a="a",
-        mode_dprime="d",
         i_plus=i_plus,
         i_minus=i_minus,
         victor_plus=(m.x_form("a") + m.x_form("d")) * k,
@@ -174,17 +170,23 @@ def run_experiment(params: ExperimentParams) -> VarianceReport:
     )
 
 
-def single_mode_noise(params: ExperimentParams, which: str) -> float:
-    """Amplitude-quadrature noise of one verified beam alone, SNL units.
+_SINGLE_MODE_LABELS = {"a": "a", "dprime": "d"}
+
+
+def single_mode_form(params: ExperimentParams, which: str) -> tuple[GaussianModel, np.ndarray]:
+    """The network and the amplitude-quadrature form of one verified beam alone.
 
     ``which`` is "a" (the untouched beam) or "dprime" (the displaced beam,
     including whatever feedforward the params apply).
     """
-    model, handles = build_network(params)
-    if which == "a":
-        form = model.x_form(handles.mode_a)
-    elif which == "dprime":
-        form = model.x_form(handles.mode_dprime)
-    else:
+    if which not in _SINGLE_MODE_LABELS:
         raise ValueError(f"unknown mode {which!r}: expected 'a' or 'dprime'")
+    model, _ = build_network(params)
+    return model, model.x_form(_SINGLE_MODE_LABELS[which])
+
+
+def single_mode_noise(params: ExperimentParams, which: str) -> float:
+    """Amplitude-quadrature noise, in SNL units, of one verified beam alone (see
+    :func:`single_mode_form`)."""
+    model, form = single_mode_form(params, which)
     return model.variance(form) / snl_reference()

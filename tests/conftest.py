@@ -1,10 +1,11 @@
-"""Shared fixtures: the reference bench parameters used across the suite."""
+"""Shared fixtures: the reference bench parameters used across the suite, and
+a one-element growth helper for tests of the Gaussian model."""
 
 from __future__ import annotations
 
 import pytest
 
-from cvswap import ExperimentParams, GainSpec
+from cvswap import ExperimentParams, GainSpec, GaussianModel
 
 # Reference operating point of the bench: measured intensity efficiencies,
 # mirror reflectivity, and the two squeezing parameters inferred from the
@@ -63,3 +64,18 @@ enl_db: 11.3
 @pytest.fixture
 def fixed_gain() -> GainSpec:
     return GainSpec.fixed(0.741)
+
+
+# (rows, sources) each element adds to a network
+ELEMENT_ROOM = {
+    "add_vacuum_mode": (2, 2),
+    "add_epr_pair": (4, 4),
+    "beamsplitter": (0, 0),
+    "loss": (0, 2),
+    "displace_by_form": (0, 0),
+}
+
+
+def grow(model: GaussianModel, element: str, *args) -> GaussianModel:
+    """A new model: ``model`` plus one element, built on a builder with exactly its room."""
+    return getattr(model.builder(*ELEMENT_ROOM[element]), element)(*args).freeze()

@@ -15,15 +15,14 @@ from cvswap import (
     GaussianModel,
     build_network,
     duan_verdict,
-    gain_to_electronic,
     run_experiment,
-    single_mode_noise,
     snl_reference,
     variance_formula,
 )
+from cvswap.analytics import electronic_gain
 from cvswap.cli import DRAW_HIGH, DRAW_LOW
-from cvswap.swap import resolve_gain, verification_variances
-from conftest import make_lab_params
+from cvswap.swap import resolve_gain, single_mode_noise, verification_variances
+from conftest import grow, make_lab_params
 
 SQRT2 = math.sqrt(2.0)
 
@@ -330,8 +329,8 @@ def test_network_handles_compare_by_identity(lab_params):
 def test_local_displacement_changes_no_variance(lab_params):
     model, handles = build_network(lab_params)
     zero = np.zeros(model.variances.size)
-    shifted = model.displace_by_form("a", zero, zero, 1.0)
-    shifted = shifted.displace_by_form("d", zero, zero, 1.0)
+    shifted = model.builder(0, 0).displace_by_form("a", zero, zero, 1.0)
+    shifted = shifted.displace_by_form("d", zero, zero, 1.0).freeze()
     victor_plus = (shifted.x_form("a") + shifted.x_form("d")) * (1 / SQRT2)
     victor_minus = (shifted.y_form("a") - shifted.y_form("d")) * (1 / SQRT2)
     assert shifted.variance(victor_plus) == model.variance(handles.victor_plus)
@@ -366,9 +365,28 @@ def test_full_mirror_with_gain_is_rejected(lab_params):
 # -- the in-place build ---------------------------------------------------------------
 
 
+class _ElementByElement:
+    """A frozen model that grows by one element per call, through ``grow``, with the
+    builder's chaining interface: ``model`` is the network so far."""
+
+    def __init__(self, model: GaussianModel) -> None:
+        self.model = model
+
+    def x_form(self, label: str) -> np.ndarray:
+        return self.model.x_form(label)
+
+    def y_form(self, label: str) -> np.ndarray:
+        return self.model.y_form(label)
+
+    def __getattr__(self, element: str):
+        def add(*args):
+            self.model = grow(self.model, element, *args)
+            return self
+        return add
+
+
 def _swap_elements(m, p, g_electronic):
-    """build_network's elements in its order, on a frozen model (each returns a new one)
-    or on a builder (each returns the builder)."""
+    """build_network's elements in its order, on a builder or an ``_ElementByElement``."""
     m = m.add_epr_pair(("a", "b"), p.r1).add_epr_pair(("c", "d"), p.r2)
     m = m.loss("b", p.xi1).loss("c", p.xi1).beamsplitter(("b", "c"), 1.0 / SQRT2)
     m = m.loss("b", p.eta).loss("c", p.eta)
@@ -388,10 +406,11 @@ def test_build_network_matches_the_frozen_element_chain_bit_for_bit(lab_params):
         model, _ = build_network(params)
 
         def electronic(t_mirror, params=params):
-            built = replace(params, mirror_R=t_mirror * t_mirror)
-            return gain_to_electronic(resolve_gain(params), built)
+            return electronic_gain(resolve_gain(params), t_mirror * t_mirror,
+                                   params.eta, params.xi1)
 
-        chain = _swap_elements(GaussianModel.empty(params.batch_shape), params, electronic)
+        start = _ElementByElement(GaussianModel.empty(params.batch_shape))
+        chain = _swap_elements(start, params, electronic).model
         assert model.rows.tobytes() == chain.rows.tobytes()
         assert model.variances.tobytes() == chain.variances.tobytes()
         assert model.labels == chain.labels
@@ -405,10 +424,25 @@ def test_builder_matches_the_frozen_element_chain_on_a_2d_batch():
                            in zip(fields, DRAW_LOW, DRAW_HIGH)})
     gain = rng.uniform(0.0, 10.0, size=(3, 5))
     built = _swap_elements(GaussianModel.empty((3, 5)).builder(10, 28), p, lambda t: gain).freeze()
-    chain = _swap_elements(GaussianModel.empty((3, 5)), p, lambda t: gain)
+    start = _ElementByElement(GaussianModel.empty((3, 5)))
+    chain = _swap_elements(start, p, lambda t: gain).model
     assert built.rows.shape == (10, 28, 3, 5)
     assert built.rows.tobytes() == chain.rows.tobytes()
     assert built.variances.tobytes() == chain.variances.tobytes()
+
+
+def test_building_a_network_validates_no_params(lab_params, monkeypatch):
+    # the gain rule takes the mirror as built directly, not through new params
+    *physics, g_swap = np.random.default_rng(61).uniform(DRAW_LOW, DRAW_HIGH, size=(8, 9)).T
+    batch = ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))
+    validated = []
+    check = ExperimentParams.__post_init__
+    monkeypatch.setattr(ExperimentParams, "__post_init__",
+                        lambda self: validated.append(self) or check(self))
+    for params in (lab_params, batch):
+        _, handles = build_network(params)
+        assert np.all(handles.g_swap > 0)  # so the feedforward gain is set
+    assert validated == []
 
 
 def test_built_network_arrays_are_read_only(lab_params):
