@@ -336,6 +336,15 @@ def test_disjoint_operations_commute():
         )
 
 
+def test_model_operations_do_not_mutate_parent():
+    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    before = m.variance(m.x_form("v1"))
+    grow(m, "loss", "v1", 0.5)
+    grow(m, "displace_by_form", "v1", -m.x_form("v1"), -m.y_form("v1"), 1.0)
+    assert m.variance(m.x_form("v1")) == before
+    assert tuple(m.labels) == ("v1",)
+
+
 # element parameters are scaled by one float, or by one value per draw of a batch
 ONE_POINT_AND_BATCH = [1.0, np.array([1.0, 0.5, 0.0])]
 
@@ -360,7 +369,7 @@ def test_model_arrays_are_read_only():
                     array[0] = 7.0
 
 
-def test_building_on_a_model_leaves_it_unchanged():
+def test_elements_leave_parent_arrays_unchanged():
     for scale in ONE_POINT_AND_BATCH:
         net = GaussianModel.empty(np.shape(scale)).builder(8, 8)
         m = net.add_epr_pair(("a", "b"), 0.3 * scale).add_epr_pair(("c", "d"), 0.9).freeze()
