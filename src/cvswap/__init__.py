@@ -22,7 +22,7 @@ from .montecarlo import estimate_variance, render_trace, write_trace_csv
 from .params import ExperimentParams, GainSpec, VarianceReport
 from .swap import build_network, run_experiment, snl_reference
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "ConfigError",

@@ -9,10 +9,13 @@ bench settings 10 kHz / 30 Hz.
 A sample of a quadrature form is a linear combination of independent
 zero-mean Gaussian sources, so it is itself one Gaussian N(0, V) with
 V = sum_i c_i^2 sigma_i^2, the variance the network oracle reports for the
-form; the per-source draws are never materialized. A point's power is V
-times the mean square of unit normals, scaled once, not per sample, so a
-finite V cannot overflow inside the average. Each call seeds one numpy PCG64
-generator and draws its points (or chunks) from it in order.
+form; the per-source draws are never materialized. The mean of n squared
+N(0, V) samples has the exact law V * chi2_n / n, so a trace point is one
+Gamma(n/2, scale 2/n) draw scaled by V: its n samples are never drawn, and a
+point costs the same at any averaging depth. Scaling by V once keeps a finite
+V from overflowing inside the average. Each call seeds one numpy PCG64
+generator and draws its points (or chunks) from it in order. Seeded traces
+differ from those written by 0.4.0, which drew every sample.
 """
 
 from __future__ import annotations
@@ -37,11 +40,15 @@ TRACE_KINDS = ("correlated", "blocked", "single_mode_a", "single_mode_dprime", "
 
 RNG_ALGORITHM = (
     "numpy default_rng(seed) (PCG64), one generator per trace, points drawn in order; "
-    "one N(0, V) draw per sample, V the network variance of the form, "
-    "drawn as a unit normal and scaled by V once per point"
+    "one Gamma(n_per_point/2, scale 2/n_per_point) draw per point, the exact law of "
+    "the mean of n_per_point squared unit normals, scaled by V, the network variance "
+    "of the form"
 )
 
 _CHUNK = 1 << 17
+
+# the rule config._Loader follows: libyaml where PyYAML was built with it
+_Dumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 @dataclass
@@ -69,6 +76,10 @@ def estimate_variance(
     so the mean square is an unbiased variance estimate. Deterministic for a
     given seed; the draws come from one generator in chunks of at most
     ``_CHUNK``, which bounds memory and leaves the stream unchanged.
+
+    Unlike a trace point, the estimate still draws every sample: its standard
+    error is the empirical spread of the squared draws (their fourth moment),
+    not the exact one, and criterion 08 checks it as such a statistic.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
@@ -119,11 +130,11 @@ def render_trace(
 
     model, form = _trace_form(params, kind)
     v = model.variance(form) / swap.snl_reference()
-    rng = np.random.default_rng(seed)
+    # point k is V * chi2_n / n; float products, so an overflow is inf, not a warning
+    draws = np.random.default_rng(seed).gamma(n_per_point / 2, 2 / n_per_point, points)
     samples: list[tuple[int, float]] = []
-    for index in range(points):
-        z = rng.standard_normal(n_per_point)
-        power = v * float(np.square(z, out=z).mean())  # in place: no second array
+    for index, draw in enumerate(draws.tolist()):
+        power = v * draw
         if math.isinf(power):
             raise OverflowError(f"point {index} power overflows: V = {v!r}")
         samples.append((index, 10.0 * math.log10(power)))
@@ -154,5 +165,5 @@ def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
             writer.writerow([index, repr(db)])
     sidecar = path.with_suffix(".meta.yaml")
     with open(sidecar, "w") as fh:
-        yaml.safe_dump(trace.metadata, fh, sort_keys=True)
+        yaml.dump(trace.metadata, fh, Dumper=_Dumper, sort_keys=True)
     return sidecar

@@ -506,6 +506,18 @@ def test_montecarlo_negative_seed_is_config_error(config_path, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_montecarlo_huge_averaging_depth_needs_no_samples(config_path, tmp_path):
+    # each point is one draw from the law of the average, at any depth
+    out = tmp_path / "t.csv"
+    assert run([
+        "montecarlo", "--config", config_path, "--kind", "snl",
+        "--points", "5", "--n-per-point", "1000000000000", "--out", str(out),
+    ]) == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 5 and all(math.isfinite(float(db)) for _, db in rows)
+
+
 @pytest.mark.parametrize("gain", ["1e153", "6e153", "1.02e154"])
 def test_montecarlo_near_the_float_range_is_finite_or_exits_3(tmp_path, lab_config_text,
                                                               capsys, gain):

@@ -144,21 +144,44 @@ def test_trace_metadata_records_provenance(lab_params):
     assert "sideband_model" in trace.metadata
 
 
-def test_trace_is_one_scaled_draw_per_sample(lab_params):
-    # point k is V times the mean square of the k-th block of unit normals of one stream
+def test_trace_is_one_gamma_draw_per_point(lab_params):
+    # point k is V times the k-th Gamma(n/2, scale 2/n) draw of one stream
     trace = render_trace(lab_params, "correlated", points=3, seed=14, n_per_point=500)
     model, form = _trace_form(lab_params, "correlated")
     v = model.variance(form) / snl_reference()
-    z = np.random.default_rng(14).standard_normal((3, 500))
-    for (_, db), z_k in zip(trace.samples, z):
-        assert db == 10.0 * math.log10(v * float(np.mean(z_k**2)))
+    draws = np.random.default_rng(14).gamma(500 / 2, 2 / 500, 3)
+    assert [db for _, db in trace.samples] == [10.0 * math.log10(v * d) for d in draws]
+
+
+@pytest.mark.parametrize(("n", "seed"), [(1, 71), (2, 72), (50, 73), (333, 74)])
+def test_trace_point_has_the_law_of_a_mean_of_squared_normals(lab_params, n, seed):
+    # the Gamma draw stands for the mean of n squared unit normals: same law, not same stream
+    stats = pytest.importorskip("scipy.stats")
+    points = 4000
+    trace = render_trace(lab_params, "correlated", points=points, seed=seed, n_per_point=n)
+    model, form = _trace_form(lab_params, "correlated")
+    v = model.variance(form) / snl_reference()
+    powers = np.array([10.0 ** (db / 10.0) for _, db in trace.samples]) / v
+    z = np.random.default_rng(seed + 1000).standard_normal((points, n))
+    assert stats.ks_2samp(powers, np.mean(z * z, axis=1)).pvalue > 0.01
+    # chi2_n / n has mean 1, variance 2/n and excess kurtosis 12/n
+    assert abs(powers.mean() - 1.0) <= 5 * math.sqrt(2 / n / points)
+    assert abs(powers.var(ddof=1) - 2 / n) <= 5 * (2 / n) * math.sqrt((2 + 12 / n) / points)
 
 
 def test_sidecar_names_single_draw_stream(tmp_path, lab_params):
     trace = render_trace(lab_params, "blocked", points=2, seed=15, n_per_point=50)
     meta = yaml.safe_load(write_trace_csv(trace, tmp_path / "trace.csv").read_text())
     assert meta["rng"] == RNG_ALGORITHM
-    assert "one N(0, V) draw per sample" in meta["rng"]
+    assert "one Gamma(n_per_point/2, scale 2/n_per_point) draw per point" in meta["rng"]
+
+
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_sidecar_bytes_match_safe_dump(tmp_path, lab_params, kind):
+    # libyaml, where present, writes the same bytes as PyYAML's pure-Python safe_dump
+    trace = render_trace(lab_params, kind, points=2, seed=16, n_per_point=50)
+    sidecar = write_trace_csv(trace, tmp_path / "trace.csv")
+    assert sidecar.read_text() == yaml.safe_dump(trace.metadata, sort_keys=True)
 
 
 def test_trace_csv_roundtrip_and_sidecar(tmp_path, lab_params):
