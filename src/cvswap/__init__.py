@@ -8,8 +8,8 @@ transmission losses, detector efficiency, and classical feedforward gain.
 from .analytics import (
     db_from_linear,
     duan_verdict,
+    electronic_gain,
     enl_correct,
-    gain_to_electronic,
     optimal_gain,
     preserved_fraction,
     r_from_db,
@@ -34,9 +34,9 @@ __all__ = [
     "build_network",
     "db_from_linear",
     "duan_verdict",
+    "electronic_gain",
     "enl_correct",
     "estimate_variance",
-    "gain_to_electronic",
     "optimal_gain",
     "preserved_fraction",
     "r_from_db",

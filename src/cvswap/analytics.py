@@ -118,21 +118,13 @@ def _optimal_gain(params: ExperimentParams, r1, r2, xp):
     return numerator / denominator
 
 
-def gain_to_electronic(g_swap, params: ExperimentParams):
+def electronic_gain(g_swap, mirror_R, eta, xi1):
     """Electronic gain g realizing a normalized g_swap = sqrt(1-R)/sqrt(2) * eta * xi1 * g.
 
     Elementwise on a batch of draws; OverflowError if g is inf or nan. A zero
     ``g_swap`` maps to 0 and needs no feedforward port, so such a draw may
-    have mirror_R = 1.
-    """
-    return electronic_gain(g_swap, params.mirror_R, params.eta, params.xi1)
-
-
-def electronic_gain(g_swap, mirror_R, eta, xi1):
-    """:func:`gain_to_electronic` on the three parameters it uses.
-
-    The network passes the reflectivity of the mirror it builds (see
-    :func:`cvswap.swap.build_network`) instead of building new params for it.
+    have mirror_R = 1. The network passes the reflectivity of the mirror it
+    builds (see :func:`cvswap.swap.build_network`), the CLI that of the params.
     """
     unused = g_swap == 0.0
     if not every_draw(unused | (mirror_R < 1.0)):

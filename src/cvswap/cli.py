@@ -1,9 +1,10 @@
 """Command-line front end: predict, sweep, verify, montecarlo, optimal-gain.
 
-Exit codes: 0 success; 2 usage/config parse errors; 3 physics rejections
-(valid syntax, unbuildable experiment or a result outside floating-point
-range); 4 verification failure (oracle and closed form disagree); 1 anything
-else (e.g. unwritable output).
+Exit codes: 0 success; 2 usage/config parse errors, including a count too
+large for any array on this platform; 3 physics rejections (valid syntax,
+unbuildable experiment or a result outside floating-point range); 4
+verification failure (oracle and closed form disagree); 1 anything else
+(e.g. unwritable output, or out of memory).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ DRAW_LOW = np.array([0.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.9, 0.0])
 DRAW_HIGH = np.array([1.5, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5])
 VERIFY_CHUNK = 512  # draws per network build; bounds memory at any --random
 
+# the most float64 elements one array can hold on this platform (numpy's size limit)
+MAX_ARRAY_FLOATS = sys.maxsize // np.dtype(float).itemsize
+
 _EPILOG = """\
 Config files are YAML. Efficiencies are quoted as intensities (xi1_sq ...
 xi4_sq, eta_sq), exactly as instruments report them; square roots to
@@ -56,13 +60,24 @@ def _require_config(args: argparse.Namespace) -> ConfigFile:
     return ConfigFile.load(args.config)
 
 
+def _check_count(flag: str, value: int, low: int, high: float, limit: str) -> None:
+    """A usage error unless ``low <= value <= high``; ``limit`` says where ``high`` comes from."""
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    if value > high:
+        raise ConfigError(f"{flag} must be <= {high} ({limit})")
+
+
 def _fmt_db(v: float) -> str:
     return f"{analytics.db_from_linear(v):+.3f} dB"
 
 
 def _electronic_gain(g_swap: float, params: ExperimentParams) -> dict:
     """``{"g_electronic": g}`` for a gain that needs feedforward, else nothing."""
-    return {"g_electronic": analytics.gain_to_electronic(g_swap, params)} if g_swap > 0 else {}
+    if g_swap > 0:
+        return {"g_electronic": analytics.electronic_gain(g_swap, params.mirror_R,
+                                                          params.eta, params.xi1)}
+    return {}
 
 
 def _predict_payload(params: ExperimentParams) -> dict:
@@ -149,8 +164,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _require_config(args).to_params()
     if args.out is None:
         raise ConfigError("sweep requires --out PATH for the CSV grid")
-    if args.steps < 2:
-        raise ConfigError(f"--steps must be >= 2, got {args.steps}")
+    _check_count("--steps", args.steps, 2, math.isqrt(MAX_ARRAY_FLOATS),
+                 "a grid of steps x steps floats must fit one array")
     for flag, bounds in (("--r1", args.r1), ("--r2", args.r2)):
         if not all(math.isfinite(b) and b >= 0 for b in bounds):
             raise ConfigError(f"{flag} bounds must be finite and >= 0, "
@@ -220,10 +235,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     params = _require_config(args).to_params()
     if args.out is None:
         raise ConfigError("montecarlo requires --out PATH for the trace CSV")
-    if args.points < 1:
-        raise ConfigError(f"--points must be >= 1, got {args.points}")
-    if args.n_per_point is not None and args.n_per_point < 1:
-        raise ConfigError(f"--n-per-point must be >= 1, got {args.n_per_point}")
+    _check_count("--points", args.points, 1, MAX_ARRAY_FLOATS,
+                 "one float per point must fit one array")
+    if args.n_per_point is not None:
+        _check_count("--n-per-point", args.n_per_point, 1, sys.float_info.max,
+                     "the largest float")
     trace = montecarlo.render_trace(
         params, args.kind, args.points, args.seed, args.n_per_point
     )
@@ -307,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PHYSICS
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

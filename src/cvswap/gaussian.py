@@ -25,13 +25,13 @@ two forms, including measured photocurrents fed forward onto other modes, is
 the exact sum ``vecdot(f1 * variances, f2)``, or an ``OverflowError`` when
 that is inf or nan. Nothing is sampled or truncated here.
 
-Each element has one implementation, on a mutable builder that owns arrays
-allocated once at the network's final size and writes the element's rows and
-columns in place. :meth:`GaussianModel.builder` starts one from a model with
-room for a given number of rows and sources; freezing it checks that the room
-is filled and hands the same arrays, no copy, to a new read-only model. The
-model a builder starts from is copied, not changed, and the arrays a model
-hands out are read-only, so instances can be shared across workers.
+A network is grown in place on arrays allocated once at its final size:
+:meth:`GaussianModel.builder` copies a model into a writable one with room
+for a given number of rows and sources, each element writes its rows and
+columns there, and :meth:`GaussianModel.freeze` checks that the room is
+filled and makes both arrays read-only. The model a builder starts from is
+not changed. A frozen model refuses every element, since its arrays cannot
+be written and its room is full, so it can be shared across workers.
 """
 
 from __future__ import annotations
@@ -64,15 +64,50 @@ def _exp(x):
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-class _Modes:
-    """Label and form checks shared by a model and a builder.
+class GaussianModel:
+    """Source variances plus the (x, y) coefficient rows of every live mode.
 
-    ``_n_sources`` is the number of sources registered so far.
+    Start from :meth:`empty`, which fixes the batch shape, and grow a network
+    on a :meth:`builder`, a writable copy with room for a given number of rows
+    and sources. ``rows[:_n_rows, :_n_sources]`` and ``variances[:_n_sources]``
+    are filled; the rest is zero until an element claims it. Each element
+    checks its arguments, writes its rows and columns in place and returns the
+    model, so elements chain; :meth:`freeze` then makes both arrays read-only.
+    A form taken before the freeze is a snapshot that later elements do not
+    change; after it, a read-only view.
     """
 
-    variances: np.ndarray
-    labels: dict[str, int]
-    _n_sources: int
+    def __init__(self, variances: np.ndarray, rows: np.ndarray, labels: dict[str, int],
+                 n_rows: int, n_sources: int) -> None:
+        self.variances = variances
+        self.rows = rows
+        self.labels = labels
+        self._n_rows, self._n_sources = n_rows, n_sources
+
+    @classmethod
+    def empty(cls, batch_shape: tuple[int, ...] = ()) -> GaussianModel:
+        return cls(np.empty((0, *batch_shape)), np.empty((0, 0, *batch_shape)), {}, 0, 0).freeze()
+
+    def builder(self, new_rows: int, new_sources: int) -> GaussianModel:
+        """A writable copy of this model with room for ``new_rows`` more rows and
+        ``new_sources`` more sources, which must all be filled before it freezes."""
+        n_rows, n_sources = self._n_rows, self._n_sources
+        rows = np.zeros((n_rows + new_rows, n_sources + new_sources, *self.batch_shape))
+        variances = np.zeros(rows.shape[1:])
+        rows[:n_rows, :n_sources] = self.rows[:n_rows, :n_sources]
+        variances[:n_sources] = self.variances[:n_sources]
+        return GaussianModel(variances, rows, dict(self.labels), n_rows, n_sources)
+
+    def freeze(self) -> GaussianModel:
+        """This model, read-only from now on; its declared room must be filled."""
+        if (self._n_rows, self._n_sources) != self.rows.shape[:2]:
+            raise RuntimeError(f"network filled {self._n_rows} rows and {self._n_sources} "
+                               f"sources of the {self.rows.shape[:2]} it declared")
+        self.variances.flags.writeable = False
+        self.rows.flags.writeable = False
+        return self
+
+    # -- accessors ---------------------------------------------------------
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -84,6 +119,17 @@ class _Modes:
         except KeyError:
             raise ValueError(f"unknown mode {label!r}") from None
 
+    def x_form(self, label: str) -> np.ndarray:
+        return self._form(self._row(label))
+
+    def y_form(self, label: str) -> np.ndarray:
+        return self._form(self._row(label) + 1)
+
+    def _form(self, i: int) -> np.ndarray:
+        """Row ``i`` over the sources so far: a view once frozen, a snapshot before."""
+        form = self.rows[i, : self._n_sources]
+        return form.copy() if form.flags.writeable else form
+
     def _width(self, form: np.ndarray) -> int:
         if form.shape[1:] != self.batch_shape:
             raise ValueError(f"form has batch shape {form.shape[1:]}, "
@@ -92,42 +138,6 @@ class _Modes:
             raise ValueError(f"form references unregistered source(s): "
                              f"{len(form)} coefficients, {self._n_sources} sources")
         return len(form)
-
-
-class GaussianModel(_Modes):
-    """Source variances plus the (x, y) coefficient rows of every live mode.
-
-    Construct with :meth:`empty`, which fixes the batch shape, and grow on a
-    :meth:`builder`, which leaves the receiver unchanged.
-    """
-
-    def __init__(self, variances: np.ndarray, rows: np.ndarray, labels: dict[str, int]) -> None:
-        variances.flags.writeable = False
-        rows.flags.writeable = False
-        self.variances = variances
-        self.rows = rows
-        self.labels = labels
-
-    @classmethod
-    def empty(cls, batch_shape: tuple[int, ...] = ()) -> GaussianModel:
-        return cls(np.empty((0, *batch_shape)), np.empty((0, 0, *batch_shape)), {})
-
-    def builder(self, new_rows: int, new_sources: int) -> _Builder:
-        """A mutable copy of this model with room for ``new_rows`` more rows and
-        ``new_sources`` more sources, which must all be filled before it freezes."""
-        return _Builder(self, new_rows, new_sources)
-
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def _n_sources(self) -> int:
-        return len(self.variances)
-
-    def x_form(self, label: str) -> np.ndarray:
-        return self.rows[self._row(label)]
-
-    def y_form(self, label: str) -> np.ndarray:
-        return self.rows[self._row(label) + 1]
 
     # -- second moments ------------------------------------------------------
 
@@ -148,38 +158,7 @@ class GaussianModel(_Modes):
     def variance(self, form: np.ndarray):
         return self.covariance(form, form)
 
-
-class _Builder(_Modes):
-    """A model under construction, grown in place on arrays of its final size.
-
-    ``rows[:_n_rows, :_n_sources]`` and ``variances[:_n_sources]`` are filled;
-    the rest is zero until an element claims it. Each element method checks
-    its arguments, writes its rows and columns and returns the builder, so
-    elements chain. A form taken here is a snapshot: later elements do not
-    change it.
-    """
-
-    def __init__(self, model: GaussianModel, new_rows: int, new_sources: int) -> None:
-        n_rows, n_sources = model.rows.shape[:2]
-        self.rows = np.zeros((n_rows + new_rows, n_sources + new_sources, *model.batch_shape))
-        self.variances = np.zeros(self.rows.shape[1:])
-        self.rows[:n_rows, :n_sources] = model.rows
-        self.variances[:n_sources] = model.variances
-        self.labels = dict(model.labels)
-        self._n_rows, self._n_sources = n_rows, n_sources
-
-    def freeze(self) -> GaussianModel:
-        """The read-only model on this builder's arrays; the builder is spent."""
-        if (self._n_rows, self._n_sources) != self.rows.shape[:2]:
-            raise RuntimeError(f"network filled {self._n_rows} rows and {self._n_sources} "
-                               f"sources of the {self.rows.shape[:2]} it declared")
-        return GaussianModel(self.variances, self.rows, self.labels)
-
-    def x_form(self, label: str) -> np.ndarray:
-        return self.rows[self._row(label), : self._n_sources].copy()
-
-    def y_form(self, label: str) -> np.ndarray:
-        return self.rows[self._row(label) + 1, : self._n_sources].copy()
+    # -- building --------------------------------------------------------------
 
     def _param(self, value):
         """``value``, checked to be a float or an array over the batch."""
@@ -199,7 +178,7 @@ class _Builder(_Modes):
         return i, s
 
     def _add_modes(self, labels: tuple[str, ...], source_variances: tuple,
-                   block: np.ndarray) -> _Builder:
+                   block: np.ndarray) -> GaussianModel:
         """Claim sources and new modes whose (x, y) rows are ``block`` over those sources."""
         i, s = self._claim(*block.shape)
         for k, value in enumerate(source_variances, s):
@@ -213,13 +192,13 @@ class _Builder(_Modes):
     #
     # Every element parameter is a float or an array of the model's batch shape.
 
-    def add_vacuum_mode(self, label: str) -> _Builder:
+    def add_vacuum_mode(self, label: str) -> GaussianModel:
         """Attach a fresh vacuum mode: unit variance on both quadratures."""
         if label in self.labels:
             raise ValueError(f"mode label {label!r} already in use")
         return self._add_modes((label,), (1.0, 1.0), _VACUUM_ROWS)
 
-    def add_epr_pair(self, labels: tuple[str, str], r) -> _Builder:
+    def add_epr_pair(self, labels: tuple[str, str], r) -> GaussianModel:
         """Attach a two-mode squeezed pair with squeezing parameter ``r``.
 
         Convention (amplitudes anticorrelated, phases correlated):
@@ -237,7 +216,7 @@ class _Builder(_Modes):
         quiet, loud = _exp(-2.0 * r), _exp(+2.0 * r)
         return self._add_modes(labels, (quiet, loud, loud, quiet), _EPR_ROWS)
 
-    def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude) -> _Builder:
+    def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude) -> GaussianModel:
         """Mix two modes: x1' = t x1 + sqrt(1-t^2) x2, x2' = -sqrt(1-t^2) x1 + t x2.
 
         Same rotation on the y quadratures. ``t = 1`` leaves every stored
@@ -253,7 +232,7 @@ class _Builder(_Modes):
         first[...], second[...] = first * t + second * rt, first * -rt + second * t
         return self
 
-    def loss(self, label: str, xi) -> _Builder:
+    def loss(self, label: str, xi) -> GaussianModel:
         """Amplitude transmission ``xi`` with fresh vacuum entering the open port."""
         check_unit("amplitude transmission", xi)
         xi = self._param(xi)
@@ -265,7 +244,7 @@ class _Builder(_Modes):
         return self
 
     def displace_by_form(self, label: str, x_add: np.ndarray, y_add: np.ndarray,
-                         gain) -> _Builder:
+                         gain) -> GaussianModel:
         """Add ``gain`` times the given forms to a mode's quadratures.
 
         This is how classical feedforward of measured photocurrents is

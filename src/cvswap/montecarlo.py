@@ -2,7 +2,7 @@
 
 The analysis sideband is one static Gaussian mode per beam, so a "trace" is
 not a spectrum: each displayed point is the dB noise power of an average
-over ``n_per_point`` squared samples, mimicking what a analyzer pixel shows
+over ``n_per_point`` squared samples, mimicking what an analyzer pixel shows
 at fixed frequency. The default averaging depth is round(RBW / VBW) for the
 bench settings 10 kHz / 30 Hz.
 

@@ -15,9 +15,10 @@ a and d are verified together.
 :func:`build_network` takes one parameter point or a batch of draws (see
 :class:`ExperimentParams`); a batch is one network over the trailing batch
 axis of :class:`GaussianModel`, assembled by the same elements in the same order.
-The model is created with the batch shape of the parameters, which no element
-changes, and built in place on one builder sized to the whole network (see
-:mod:`cvswap.gaussian`), still one element at a time. A variance outside
+The network is one :class:`GaussianModel` with the batch shape of the
+parameters, which no element changes: it is grown in place, one element at a
+time, on arrays sized once for the whole network, and frozen read-only when
+the last element is in (see :mod:`cvswap.gaussian`). A variance outside
 floating-point range is an ``OverflowError``.
 """
 

@@ -15,8 +15,8 @@ from cvswap import (
     GainSpec,
     db_from_linear,
     duan_verdict,
+    electronic_gain,
     enl_correct,
-    gain_to_electronic,
     optimal_gain,
     preserved_fraction,
     r_from_db,
@@ -140,14 +140,15 @@ def test_optimal_gain_is_argmin_random():
 
 
 def test_electronic_gain_value(lab_params):
-    assert gain_to_electronic(0.74, lab_params) == pytest.approx(7.92, abs=1e-2)
-    assert gain_to_electronic(0.0, lab_params) == 0.0
+    p = lab_params
+    assert electronic_gain(0.74, p.mirror_R, p.eta, p.xi1) == pytest.approx(7.92, abs=1e-2)
+    assert electronic_gain(0.0, p.mirror_R, p.eta, p.xi1) == 0.0
 
 
 def test_gain_roundtrip_exact(lab_params):
     p = lab_params
     for g_swap in (0.0, 0.3, 0.74, 1.4):
-        g = gain_to_electronic(g_swap, p)
+        g = electronic_gain(g_swap, p.mirror_R, p.eta, p.xi1)
         back = math.sqrt(1.0 - p.mirror_R) * p.eta * p.xi1 * g / math.sqrt(2.0)
         assert back == pytest.approx(g_swap, abs=1e-12)
 
@@ -155,7 +156,7 @@ def test_gain_roundtrip_exact(lab_params):
 def test_gain_conversion_full_mirror_rejected(lab_params):
     sealed = replace(lab_params, mirror_R=1.0)
     with pytest.raises(ValueError, match="feedforward port"):
-        gain_to_electronic(0.5, sealed)
+        electronic_gain(0.5, sealed.mirror_R, sealed.eta, sealed.xi1)
 
 
 # -- dB / r conversions ---------------------------------------------------------

@@ -8,7 +8,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -516,6 +519,46 @@ def test_montecarlo_huge_averaging_depth_needs_no_samples(config_path, tmp_path)
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 5 and all(math.isfinite(float(db)) for _, db in rows)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["montecarlo", "--kind", "snl", "--n-per-point", str(10**400)], "--n-per-point"),
+    (["montecarlo", "--kind", "snl", "--points", str(2**62)], "--points"),
+    (["sweep", "--r1", "0", "1", "--r2", "0", "1", "--steps", str(2**62)], "--steps"),
+])
+def test_count_past_the_platform_limit_is_config_error(config_path, tmp_path, capsys,
+                                                       argv, flag):
+    # rejected before anything is allocated or written
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} must be <= ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--kind", "snl", "--points", str(10**12)],
+    ["sweep", "--r1", "0", "1", "--r2", "0", "1", "--steps", "1000000"],
+])
+def test_count_past_the_memory_limit_exits_1(config_path, tmp_path, argv):
+    import resource  # POSIX only
+
+    def cap_address_space():
+        # the run asks for terabytes; the cap makes that fail at once, never swap
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = os.path.dirname(os.path.dirname(cvswap.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp_path / "out.csv"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from cvswap.cli import main; sys.exit(main())",
+         *argv, "--config", config_path, "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("out of memory: Unable to allocate ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gain", ["1e153", "6e153", "1.02e154"])

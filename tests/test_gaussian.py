@@ -518,3 +518,26 @@ def test_builder_freezes_only_at_its_declared_size():
     assert m.rows.shape == (4, 6) and m.variances.shape == (6,)
     with pytest.raises(ValueError, match="read-only"):
         net.beamsplitter(("a", "b"), 0.5)  # a frozen builder's arrays are the model's
+
+
+def test_frozen_model_refuses_every_element():
+    for scale in ONE_POINT_AND_BATCH:
+        net = GaussianModel.empty(np.shape(scale)).builder(8, 8).add_epr_pair(("a", "b"), 0.3)
+        net.add_epr_pair(("c", "d"), 0.2 * scale)
+        m = net.freeze()
+        assert m is net and m.freeze() is m
+        rows, variances, labels = m.rows.tobytes(), m.variances.tobytes(), dict(m.labels)
+        form_a, form_b = m.x_form("a"), m.y_form("b")
+        elements = [
+            lambda: m.add_vacuum_mode("v"),
+            lambda: m.add_epr_pair(("e", "f"), 0.5 * scale),
+            lambda: m.beamsplitter(("a", "c"), 0.6 * scale),
+            lambda: m.loss("b", 0.7 * scale),
+            lambda: m.displace_by_form("d", form_a, form_b, 0.4 * scale),
+        ]
+        for element in elements:
+            # a full room refuses new rows and sources; read-only arrays refuse the rest
+            with pytest.raises((RuntimeError, ValueError), match="outgrows|read-only"):
+                element()
+            assert m.rows.tobytes() == rows and m.variances.tobytes() == variances
+            assert m.labels == labels
