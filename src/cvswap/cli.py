@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import analytics, montecarlo, swap
+from . import analytics, floattext, montecarlo, swap
 from .config import ConfigError, ConfigFile
 from .params import ExperimentParams, GainSpec
 
@@ -35,6 +35,7 @@ ORACLE_TOLERANCE = 1e-9  # max relative deviation, closed form vs network
 DRAW_LOW = np.array([0.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.9, 0.0])
 DRAW_HIGH = np.array([1.5, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5])
 VERIFY_CHUNK = 512  # draws per network build; bounds memory at any --random
+SWEEP_BLOCK_CELLS = 4096  # grid cells turned to text at once; bounds the CSV writer's memory
 
 # the most float64 elements one array can hold on this platform (numpy's size limit)
 MAX_ARRAY_FLOATS = sys.maxsize // np.dtype(float).itemsize
@@ -66,6 +67,13 @@ def _check_count(flag: str, value: int, low: int, high: float, limit: str) -> No
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
     if value > high:
         raise ConfigError(f"{flag} must be <= {high} ({limit})")
+
+
+def _fmt_num(x: float, decimals: int, sign: str = "") -> str:
+    """``x`` to ``decimals`` places, or in scientific notation with as many digits
+    where fixed places would hide it (0 < |x| < 1e-3) or run long (|x| >= 1e6)."""
+    kind = "f" if x == 0 or 1e-3 <= abs(x) < 1e6 else "e"
+    return f"{x:{sign}.{decimals}{kind}}"
 
 
 def _fmt_db(v: float) -> str:
@@ -125,12 +133,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     else:
         gain_note = payload["gain_mode"]
         if "g_electronic" in payload:
-            gain_note += f", electronic gain {payload['g_electronic']:.4f}"
-        print(f"g_swap    = {payload['g_swap']:.6f} ({gain_note})")
-        print(f"v_plus    = {payload['v_plus']:.6f} ({_fmt_db(payload['v_plus'])})")
-        print(f"v_minus   = {payload['v_minus']:.6f} ({_fmt_db(payload['v_minus'])})")
+            gain_note += f", electronic gain {_fmt_num(payload['g_electronic'], 4)}"
+        print(f"g_swap    = {_fmt_num(payload['g_swap'], 6)} ({gain_note})")
+        for key in ("v_plus", "v_minus"):
+            print(f"{key:<9} = {_fmt_num(payload[key], 6)} ({_fmt_db(payload[key])})")
         verdict = "yes" if payload["entangled"] else "no"
-        print(f"entangled = {verdict} (margin {payload['margin']:+.4f})")
+        print(f"entangled = {verdict} (margin {_fmt_num(payload['margin'], 4, '+')})")
         if "enl_corrected_db_below_snl" in payload:
             corr = payload["enl_corrected_db_below_snl"]
             print(
@@ -153,9 +161,9 @@ def cmd_optimal_gain(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        line = f"g_swap_opt = {g_swap:.6f}"
+        line = f"g_swap_opt = {_fmt_num(g_swap, 6)}"
         if "g_electronic" in payload:
-            line += f" (electronic gain {payload['g_electronic']:.4f})"
+            line += f" (electronic gain {_fmt_num(payload['g_electronic'], 4)})"
         print(line)
     return EXIT_OK
 
@@ -173,14 +181,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     r1s = np.linspace(args.r1[0], args.r1[1], args.steps)
     r2s = np.linspace(args.r2[0], args.r2[1], args.steps)
     grid = analytics.sweep_surface(params, r1s, r2s)
-    # the bytes csv.writer would give: r1-major rows of repr floats, \r\n line ends
-    r2_cells = [f",{r2!r}," for r2 in grid.r2_values.tolist()]
-    with open(args.out, "w", newline="") as fh:
-        fh.write("r1,r2,v_snl\r\n")
-        for r1, row in zip(grid.r1_values.tolist(), grid.values):
-            r1_cell = repr(r1)
-            fh.write("".join(f"{r1_cell}{r2_cell}{v!r}\r\n"
-                             for r2_cell, v in zip(r2_cells, row.tolist())))
+    # csv.writer's bytes: r1-major rows of repr floats, CRLF line ends; a block of
+    # grid rows at a time goes through the vectorized repr
+    r1_cells = floattext.repr_bytes(grid.r1_values, b",")
+    r2_cells = floattext.repr_bytes(grid.r2_values, b",")
+    cols = len(r2_cells)
+    rows = max(1, SWEEP_BLOCK_CELLS // cols)
+    with open(args.out, "wb") as fh:
+        fh.write(b"r1,r2,v_snl\r\n")
+        for start in range(0, len(r1_cells), rows):
+            block = grid.values[start:start + rows]
+            cells = [b""] * (3 * block.size)
+            for i, r1_cell in enumerate(r1_cells[start:start + rows]):
+                cells[3 * cols * i:3 * cols * (i + 1):3] = [r1_cell] * cols
+            cells[1::3] = r2_cells * len(block)
+            cells[2::3] = floattext.repr_bytes(block.ravel(), b"\r\n")
+            fh.write(b"".join(cells))
     print(f"wrote {grid.values.size} grid points to {args.out}")
     return EXIT_OK
 

@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import cvswap.analytics
 from cvswap import ConfigFile, ExperimentParams, GainSpec, montecarlo
-from cvswap.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, VERIFY_CHUNK,
-                        build_parser, main)
+from cvswap.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, SWEEP_BLOCK_CELLS,
+                        VERIFY_CHUNK, build_parser, main)
 from conftest import LAB_INTENSITIES, LAB_R1, LAB_R2
 
 
@@ -75,6 +75,30 @@ def test_predict_reports_an_undefined_enl_correction(tmp_path, lab_config_text, 
     assert "v_plus    = 0.718797" in out and "entangled = yes" in out
     assert ("ENL-corrected (0.5 dB below SNL): v_plus undefined (at or below the noise floor), "
             "v_minus undefined (at or below the noise floor)") in out
+
+
+@pytest.mark.parametrize(("config", "lines"), [
+    # the e^{+-2r} terms cancel to a V far below six decimals
+    ("squeezing: {r1: 10, r2: 10}\n"
+     "efficiencies: {xi1_sq: 1, xi2_sq: 1, xi3_sq: 1, xi4_sq: 1, eta_sq: 1}\n"
+     "mirror_R: 0.99999999\ngain: {mode: optimal}\n",
+     ["v_plus    = 1.06384", "e-08 (-79.731 dB)", "g_swap_opt = 1.000000"]),
+    # V near 1e171 would print as a 172-digit integer
+    ("squeezing: {r1: 200, r2: 1}\n"
+     "efficiencies: {xi1_sq: 0.98, xi2_sq: 0.98, xi3_sq: 0.98, xi4_sq: 0.98, eta_sq: 0.98}\n"
+     "mirror_R: 0.98\ngain: {mode: fixed, value: 0.9}\n",
+     ["v_plus    = 1.253675e+171 (+1710.982 dB)", "v_minus   = 1.253675e+171",
+      "(margin -1.2537e+171)"]),
+])
+def test_predict_prints_far_values_in_scientific_notation(tmp_path, capsys, config, lines):
+    path = tmp_path / "far.yaml"
+    path.write_text(config)
+    assert run(["predict", "--config", str(path)]) == EXIT_OK
+    if any(line.startswith("g_swap_opt") for line in lines):
+        assert run(["optimal-gain", "--config", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert all(line in out for line in lines), out
+    assert max(map(len, out.splitlines())) < 80
 
 
 def test_predict_blocked_config(tmp_path, lab_config_text, capsys):
@@ -322,6 +346,35 @@ def test_sweep_csv_format_and_values(config_path, tmp_path):
         point = replace(params, r1=r1, r2=r2)
         scalar = cvswap.analytics.variance_formula(point, cvswap.analytics.optimal_gain(point))
         assert value == pytest.approx(scalar, rel=1e-12, abs=0.0)
+
+
+def _csv_writer_grid(params, r1s, r2s) -> bytes:
+    """The reference rendering: csv.writer over repr floats of analytics.sweep_surface."""
+    grid = cvswap.analytics.sweep_surface(params, r1s, r2s)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["r1", "r2", "v_snl"])
+    for r1, row in zip(grid.r1_values.tolist(), grid.values.tolist()):
+        for r2, value in zip(grid.r2_values.tolist(), row):
+            writer.writerow([repr(r1), repr(r2), repr(value)])
+    return expected.getvalue().encode()
+
+
+@pytest.mark.parametrize(("r1", "r2", "steps", "cells"), [
+    (("0.0", "1.5"), ("0.0", "1.5"), 2, "0.0,0.0,"),  # 2 x 2; zero takes repr's path
+    (("0", "40"), ("0", "40"), 9, "e+"),  # V >= 1e16 is written in exponent form
+    (("0.1", "1.3"), ("0.2", "0.9"), 70, ""),  # a full block of rows, then a partial one
+])
+def test_sweep_csv_is_csv_writer_bytes(config_path, tmp_path, r1, r2, steps, cells):
+    assert steps % (SWEEP_BLOCK_CELLS // steps)  # the last block of rows is partial
+    out = tmp_path / "grid.csv"
+    argv = ["--r1", *r1, "--r2", *r2, "--steps", str(steps), "--out", str(out)]
+    assert run(["sweep", "--config", config_path, *argv]) == EXIT_OK
+    params = ConfigFile.load(config_path).to_params()
+    expected = _csv_writer_grid(params, np.linspace(float(r1[0]), float(r1[1]), steps),
+                                np.linspace(float(r2[0]), float(r2[1]), steps))
+    assert out.read_bytes() == expected
+    assert cells in out.read_text()
 
 
 @pytest.mark.parametrize(
