@@ -41,8 +41,9 @@ def repr_bytes(values: np.ndarray, end: bytes = b"") -> list[bytes]:
     digits, point, trailing, sure = _shortest(x)
     out = _positional(digits, point, trailing, end)
     if not sure.all():
+        values = x.tolist()
         for i in itertools.compress(range(x.size), (~sure).tolist()):
-            out[i] = repr(x.item(i)).encode() + end
+            out[i] = repr(values[i]).encode() + end
     return out
 
 
