@@ -9,7 +9,6 @@ cross-check of the whole package (``cvswap verify``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -204,23 +203,14 @@ def preserved_fraction(initial_db: float, swapped_db: float) -> float:
 # -- sweeps -------------------------------------------------------------------
 
 
-@dataclass
-class SweepGrid:
-    """Optimal-gain variance surface over a squeezing-parameter grid."""
-
-    r1_values: np.ndarray
-    r2_values: np.ndarray
-    values: np.ndarray  # shape (len(r1_values), len(r2_values)), linear SNL units
-
-
 def sweep_surface(
     params: ExperimentParams,
     r1_axis: Sequence[float],
     r2_axis: Sequence[float],
-) -> SweepGrid:
-    """Evaluate variance_formula at the per-point optimal gain over the grid.
+) -> np.ndarray:
+    """Variance at the per-point optimal gain over ``r1 x r2``, shape (len(r1), len(r2)).
 
-    One broadcast evaluation of the closed form over ``r1 x r2``.
+    One broadcast evaluation of the closed form.
     """
     r1s = np.asarray(list(r1_axis), dtype=float)
     r2s = np.asarray(list(r2_axis), dtype=float)
@@ -233,4 +223,6 @@ def sweep_surface(
         gains = _optimal_gain(params, r1, r2, np)
         feedforward = _check_gains(params, gains)
         values = _variance(params, r1, r2, gains, feedforward, np)
-    return SweepGrid(r1s, r2s, values)
+    # predict's rule for every cell: the largest gain needs the largest electronic gain
+    electronic_gain(gains.max(), params.mirror_R, params.eta, params.xi1)
+    return values

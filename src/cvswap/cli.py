@@ -76,10 +76,6 @@ def _fmt_num(x: float, decimals: int, sign: str = "") -> str:
     return f"{x:{sign}.{decimals}{kind}}"
 
 
-def _fmt_db(v: float) -> str:
-    return f"{analytics.db_from_linear(v):+.3f} dB"
-
-
 def _electronic_gain(g_swap: float, params: ExperimentParams) -> dict:
     """``{"g_electronic": g}`` for a gain that needs feedforward, else nothing."""
     if g_swap > 0:
@@ -90,17 +86,7 @@ def _electronic_gain(g_swap: float, params: ExperimentParams) -> dict:
 
 def _predict_payload(params: ExperimentParams) -> dict:
     report = swap.run_experiment(params)
-    payload: dict = {
-        "g_swap": report.g_swap_used,
-        "gain_mode": "blocked" if params.channel_blocked else params.gain.mode,
-        "v_plus": report.v_plus,
-        "v_minus": report.v_minus,
-        "v_plus_db": report.v_plus_db,
-        "v_minus_db": report.v_minus_db,
-        "entangled": report.entangled,
-        "margin": report.margin,
-        **_electronic_gain(report.g_swap_used, params),
-    }
+    payload = {**dataclasses.asdict(report), **_electronic_gain(report.g_swap, params)}
     if params.enl_db is not None:
         payload["enl_db"] = params.enl_db
         payload["enl_corrected_db_below_snl"] = {
@@ -136,7 +122,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             gain_note += f", electronic gain {_fmt_num(payload['g_electronic'], 4)}"
         print(f"g_swap    = {_fmt_num(payload['g_swap'], 6)} ({gain_note})")
         for key in ("v_plus", "v_minus"):
-            print(f"{key:<9} = {_fmt_num(payload[key], 6)} ({_fmt_db(payload[key])})")
+            print(f"{key:<9} = {_fmt_num(payload[key], 6)} ({payload[key + '_db']:+.3f} dB)")
         verdict = "yes" if payload["entangled"] else "no"
         print(f"entangled = {verdict} (margin {_fmt_num(payload['margin'], 4, '+')})")
         if "enl_corrected_db_below_snl" in payload:
@@ -180,24 +166,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                               f"got {bounds[0]} {bounds[1]}")
     r1s = np.linspace(args.r1[0], args.r1[1], args.steps)
     r2s = np.linspace(args.r2[0], args.r2[1], args.steps)
-    grid = analytics.sweep_surface(params, r1s, r2s)
+    values = analytics.sweep_surface(params, r1s, r2s)
     # csv.writer's bytes: r1-major rows of repr floats, CRLF line ends; a block of
     # grid rows at a time goes through the vectorized repr
-    r1_cells = floattext.repr_bytes(grid.r1_values, b",")
-    r2_cells = floattext.repr_bytes(grid.r2_values, b",")
+    r1_cells = floattext.repr_bytes(r1s, b",")
+    r2_cells = floattext.repr_bytes(r2s, b",")
     cols = len(r2_cells)
     rows = max(1, SWEEP_BLOCK_CELLS // cols)
     with open(args.out, "wb") as fh:
         fh.write(b"r1,r2,v_snl\r\n")
         for start in range(0, len(r1_cells), rows):
-            block = grid.values[start:start + rows]
+            block = values[start:start + rows]
             cells = [b""] * (3 * block.size)
             for i, r1_cell in enumerate(r1_cells[start:start + rows]):
                 cells[3 * cols * i:3 * cols * (i + 1):3] = [r1_cell] * cols
             cells[1::3] = r2_cells * len(block)
             cells[2::3] = floattext.repr_bytes(block.ravel(), b"\r\n")
             fh.write(b"".join(cells))
-    print(f"wrote {grid.values.size} grid points to {args.out}")
+    print(f"wrote {values.size} grid points to {args.out}")
     return EXIT_OK
 
 

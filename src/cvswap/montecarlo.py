@@ -53,15 +53,16 @@ _Dumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 @dataclass
 class TraceSeries:
-    """One rendered noise trace: (point index, dB noise power) samples."""
+    """One rendered noise trace: each point's linear noise power, in point order."""
 
-    samples: list[tuple[int, float]]
+    powers: list[float]
     metadata: dict = field(default_factory=dict)
 
     def linear_mean(self) -> float:
         """Pooled variance estimate: mean of the per-point linear averages."""
-        n = len(self.samples)
-        return math.fsum(10.0 ** (db / 10.0) / n for _, db in self.samples)
+        n = len(self.powers)
+        # each term divided first: a sum of powers near the float range overflows
+        return math.fsum(power / n for power in self.powers)
 
     def pooled_db(self) -> float:
         return 10.0 * math.log10(self.linear_mean())
@@ -132,12 +133,9 @@ def render_trace(
     v = model.variance(form) / swap.snl_reference()
     # point k is V * chi2_n / n; float products, so an overflow is inf, not a warning
     draws = np.random.default_rng(seed).gamma(n_per_point / 2, 2 / n_per_point, points)
-    samples: list[tuple[int, float]] = []
-    for index, draw in enumerate(draws.tolist()):
-        power = v * draw
-        if math.isinf(power):
-            raise OverflowError(f"point {index} power overflows: V = {v!r}")
-        samples.append((index, 10.0 * math.log10(power)))
+    powers = [v * draw for draw in draws.tolist()]
+    if math.inf in powers:
+        raise OverflowError(f"point {powers.index(math.inf)} power overflows: V = {v!r}")
 
     metadata = {
         "kind": kind,
@@ -152,7 +150,7 @@ def render_trace(
         ),
         "params": asdict(params),
     }
-    return TraceSeries(samples, metadata)
+    return TraceSeries(powers, metadata)
 
 
 def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
@@ -161,8 +159,8 @@ def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point_index", "db_value"])
-        for index, db in trace.samples:
-            writer.writerow([index, repr(db)])
+        for index, power in enumerate(trace.powers):
+            writer.writerow([index, repr(10.0 * math.log10(power))])
     sidecar = path.with_suffix(".meta.yaml")
     with open(sidecar, "w") as fh:
         yaml.dump(trace.metadata, fh, Dumper=_Dumper, sort_keys=True)

@@ -42,14 +42,6 @@ class GainSpec:
         elif self.value is not None:
             raise ValueError("gain: optimal mode takes no 'value'")
 
-    @classmethod
-    def optimal(cls) -> GainSpec:
-        return cls("optimal")
-
-    @classmethod
-    def fixed(cls, g_swap: float) -> GainSpec:
-        return cls("fixed", float(g_swap))
-
 
 def check_unit(name: str, value) -> None:
     """Reject a value (or any draw of a batch) outside [0, 1], nan included."""
@@ -89,7 +81,7 @@ class ExperimentParams:
     xi4: float
     eta: float
     mirror_R: float
-    gain: GainSpec = GainSpec.optimal()
+    gain: GainSpec = GainSpec("optimal")
     channel_blocked: bool = False
     enl_db: float | None = None
 
@@ -126,7 +118,7 @@ class ExperimentParams:
         xi4_sq: float,
         eta_sq: float,
         mirror_R: float,
-        gain: GainSpec | None = None,
+        gain: GainSpec = GainSpec("optimal"),
         channel_blocked: bool = False,
         enl_db: float | None = None,
     ) -> ExperimentParams:
@@ -148,7 +140,7 @@ class ExperimentParams:
             xi4=math.sqrt(xi4_sq),
             eta=math.sqrt(eta_sq),
             mirror_R=mirror_R,
-            gain=gain if gain is not None else GainSpec.optimal(),
+            gain=gain,
             channel_blocked=channel_blocked,
             enl_db=enl_db,
         )
@@ -156,17 +148,18 @@ class ExperimentParams:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """Verification-stage output variances in SNL units, with verdict.
+    """Verification-stage output in SNL units; its fields lead ``predict --json``, in order.
 
-    ``v_plus`` is the amplitude-sum variance, ``v_minus`` the phase-difference
-    variance; the dB fields are 10*log10 of the linear values (negative means
-    below shot noise). ``entangled`` requires both strictly below 1.
+    ``gain_mode`` is "optimal", "fixed" or "blocked". The dB fields are 10*log10 of
+    ``v_plus`` (amplitude sum) and ``v_minus`` (phase difference), negative below shot
+    noise; ``entangled`` requires both strictly below 1.
     """
 
+    g_swap: float
+    gain_mode: str
     v_plus: float
     v_minus: float
     v_plus_db: float
     v_minus_db: float
     entangled: bool
     margin: float  # 1 - max(v_plus, v_minus), see analytics.duan_verdict
-    g_swap_used: float

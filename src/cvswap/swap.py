@@ -161,13 +161,14 @@ def run_experiment(params: ExperimentParams) -> VarianceReport:
     v_plus, v_minus, g_swap = verification_variances(params)
     entangled, margin = analytics.duan_verdict(v_plus, v_minus)
     return VarianceReport(
+        g_swap=g_swap,
+        gain_mode="blocked" if params.channel_blocked else params.gain.mode,
         v_plus=v_plus,
         v_minus=v_minus,
         v_plus_db=analytics.db_from_linear(v_plus),
         v_minus_db=analytics.db_from_linear(v_minus),
         entangled=entangled,
         margin=margin,
-        g_swap_used=g_swap,
     )
 
 

@@ -63,7 +63,7 @@ enl_db: 11.3
 
 @pytest.fixture
 def fixed_gain() -> GainSpec:
-    return GainSpec.fixed(0.741)
+    return GainSpec("fixed", 0.741)
 
 
 # (rows, sources) each element adds to a network

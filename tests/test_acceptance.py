@@ -92,7 +92,7 @@ def test_criterion_06_oracle_equivalence():
     worst_pm = 0.0
     for _ in range(1000):
         params, g_swap = random_point(rng)
-        report = run_experiment(replace(params, gain=GainSpec.fixed(g_swap)))
+        report = run_experiment(replace(params, gain=GainSpec("fixed", g_swap)))
         expected = variance_formula(params, g_swap)
         worst = max(
             worst,
@@ -182,16 +182,16 @@ def test_criterion_09_trace_ordering():
 def test_criterion_10_trivial_gates():
     perfect_vacuum = ExperimentParams(
         r1=0, r2=0, xi1=1, xi2=1, xi3=1, xi4=1, eta=1, mirror_R=1,
-        gain=GainSpec.fixed(0.0),
+        gain=GainSpec("fixed", 0.0),
     )
     report = run_experiment(perfect_vacuum)
-    lossy_vacuum = run_experiment(make_lab_params(r1=0.0, r2=0.0, gain=GainSpec.fixed(0.0)))
+    lossy_vacuum = run_experiment(make_lab_params(r1=0.0, r2=0.0, gain=GainSpec("fixed", 0.0)))
     unsqueezed_optimal = run_experiment(make_lab_params(r1=0.0, r2=0.0))
     ok = (
         abs(report.v_plus - 1.0) <= 1e-12
         and abs(report.v_minus - 1.0) <= 1e-12
         and abs(lossy_vacuum.v_plus - 1.0) <= 1e-12
-        and unsqueezed_optimal.g_swap_used == 0.0
+        and unsqueezed_optimal.g_swap == 0.0
         and unsqueezed_optimal.entangled is False
     )
     check(10, "all-vacuum network = 1.0 to 1e-12; r=0 never flagged entangled", ok,

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.optimize import minimize_scalar
 
 from cvswap import (
@@ -36,7 +37,7 @@ V_PERFECT = 0.579526202402
 def perfect_point(g: float = 0.0) -> ExperimentParams:
     return ExperimentParams(
         r1=0.0, r2=0.0, xi1=1.0, xi2=1.0, xi3=1.0, xi4=1.0, eta=1.0,
-        mirror_R=1.0, gain=GainSpec.fixed(g),
+        mirror_R=1.0, gain=GainSpec("fixed", g),
     )
 
 
@@ -281,11 +282,11 @@ def test_preserved_fraction():
 
 
 def test_sweep_contains_lab_point(lab_params):
-    grid = sweep_surface(lab_params, [0.0, 0.564], [0.0, 0.587])
-    assert grid.values.shape == (2, 2)
-    assert grid.values[1, 1] == pytest.approx(0.719, abs=1e-3)
+    values = sweep_surface(lab_params, [0.0, 0.564], [0.0, 0.587])
+    assert values.shape == (2, 2)
+    assert values[1, 1] == pytest.approx(0.719, abs=1e-3)
     # no squeezing at either source: exactly shot noise at optimal (zero) gain
-    assert grid.values[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_monotone_where_partner_is_squeezed(lab_params):
@@ -294,12 +295,12 @@ def test_sweep_monotone_where_partner_is_squeezed(lab_params):
     # instead grows with r (no entanglement is possible from one source, and
     # cancelling its antisqueezed quadrature costs feedforward noise)
     axis = [0.2 * k for k in range(8)]
-    grid = sweep_surface(lab_params, axis, axis)
-    assert (np.diff(grid.values[:, 1:], axis=0) <= 1e-12).all()
-    assert (np.diff(grid.values[1:, :], axis=1) <= 1e-12).all()
-    assert (np.diff(grid.values[:, 0]) > 0).all()
-    assert (np.diff(grid.values[0, :]) > 0).all()
-    assert (grid.values > 0).all()
+    values = sweep_surface(lab_params, axis, axis)
+    assert (np.diff(values[:, 1:], axis=0) <= 1e-12).all()
+    assert (np.diff(values[1:, :], axis=1) <= 1e-12).all()
+    assert (np.diff(values[:, 0]) > 0).all()
+    assert (np.diff(values[0, :]) > 0).all()
+    assert (values > 0).all()
 
 
 def test_sweep_rejects_bad_axes(lab_params):
@@ -321,25 +322,34 @@ _efficiency = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     eta=_efficiency,
     mirror_R=st.floats(min_value=0.0, max_value=1.0),
 )
+@example(r1s=[0.0, 0.5], r2s=[0.0], xi=(0.9, 0.9, 0.9, 0.9), eta=0.9, mirror_R=1.0)
+@example(r1s=[0.0], r2s=[0.0, 0.0], xi=(0.9, 0.9, 0.9, 0.9), eta=0.9, mirror_R=1.0)
 def test_sweep_matches_scalar_path(r1s, r2s, xi, eta, mirror_R):
     params = ExperimentParams(
         r1=0.0, r2=0.0, xi1=xi[0], xi2=xi[1], xi3=xi[2], xi4=xi[3], eta=eta, mirror_R=mirror_R,
     )
+    cells = [[replace(params, r1=r1, r2=r2) for r2 in r2s] for r1 in r1s]
     try:
-        expected = [
-            [variance_formula(q, optimal_gain(q)) for q in (replace(params, r1=r1, r2=r2) for r2 in r2s)]
-            for r1 in r1s
-        ]
+        gains = [[optimal_gain(q) for q in row] for row in cells]
+        expected = [[variance_formula(q, g) for q, g in zip(qs, gs)] for qs, gs in zip(cells, gains)]
     except ArithmeticError:
         # a cell outside floating-point range must fail the grid the same way
         with pytest.raises(ArithmeticError):
             sweep_surface(params, r1s, r2s)
         return
-    grid = sweep_surface(params, r1s, r2s)
-    assert grid.values.shape == (len(r1s), len(r2s))
+    try:
+        # the rule predict applies: a gain above 0 needs a settable electronic gain
+        for g in (g for row in gains for g in row):
+            electronic_gain(g, mirror_R, params.eta, params.xi1)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            sweep_surface(params, r1s, r2s)
+        return
+    values = sweep_surface(params, r1s, r2s)
+    assert values.shape == (len(r1s), len(r2s))
     for i in range(len(r1s)):
         for j in range(len(r2s)):
-            assert grid.values[i, j] == pytest.approx(expected[i][j], rel=1e-12, abs=0.0)
+            assert values[i, j] == pytest.approx(expected[i][j], rel=1e-12, abs=0.0)
 
 
 def test_scalar_closed_form_returns_builtin_float(lab_params):
@@ -355,5 +365,5 @@ def test_sweep_rejects_nan_axis(lab_params):
 
 
 def test_lab_params_fixture_matches_frozen_values():
-    params = make_lab_params(gain=GainSpec.fixed(0.0))
+    params = make_lab_params(gain=GainSpec("fixed", 0.0))
     assert variance_formula(params, 0.0) == pytest.approx(V_BLOCKED, rel=1e-10)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvswap.analytics
-from cvswap import ConfigFile, ExperimentParams, GainSpec, montecarlo
+from cvswap import ConfigFile, ExperimentParams, GainSpec, VarianceReport, montecarlo
 from cvswap.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, SWEEP_BLOCK_CELLS,
                         VERIFY_CHUNK, build_parser, main)
 from conftest import LAB_INTENSITIES, LAB_R1, LAB_R2
@@ -52,6 +52,8 @@ def test_predict_text_output(config_path, capsys):
 def test_predict_json_output(config_path, capsys):
     assert run(["predict", "--config", config_path, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
+    fields = [f.name for f in dataclasses.fields(VarianceReport)]
+    assert list(payload)[:len(fields)] == fields  # the report is the head of the payload
     assert payload["g_swap"] == pytest.approx(0.740934, abs=1e-5)
     assert payload["v_plus"] == pytest.approx(0.718797, abs=1e-5)
     assert payload["v_plus"] == payload["v_minus"]
@@ -331,13 +333,13 @@ def test_sweep_csv_format_and_values(config_path, tmp_path):
     assert run(["sweep", "--config", config_path, *argv, "--out", str(out)]) == EXIT_OK
     params = ConfigFile.load(config_path).to_params()
     r1s, r2s = np.linspace(0.0, 1.2, 3), np.linspace(0.3, 0.9, 3)
-    grid = cvswap.analytics.sweep_surface(params, r1s, r2s)
+    values = cvswap.analytics.sweep_surface(params, r1s, r2s)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["r1", "r2", "v_snl"])
     for i, r1 in enumerate(r1s):
         for j, r2 in enumerate(r2s):
-            writer.writerow([repr(float(r1)), repr(float(r2)), repr(float(grid.values[i, j]))])
+            writer.writerow([repr(float(r1)), repr(float(r2)), repr(float(values[i, j]))])
     assert out.read_bytes() == expected.getvalue().encode()
     # the broadcast values may differ from the scalar path only in the last ulp
     rows = list(csv.reader(out.read_text().splitlines()))[1:]
@@ -350,12 +352,12 @@ def test_sweep_csv_format_and_values(config_path, tmp_path):
 
 def _csv_writer_grid(params, r1s, r2s) -> bytes:
     """The reference rendering: csv.writer over repr floats of analytics.sweep_surface."""
-    grid = cvswap.analytics.sweep_surface(params, r1s, r2s)
+    values = cvswap.analytics.sweep_surface(params, r1s, r2s)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["r1", "r2", "v_snl"])
-    for r1, row in zip(grid.r1_values.tolist(), grid.values.tolist()):
-        for r2, value in zip(grid.r2_values.tolist(), row):
+    for r1, row in zip(r1s.tolist(), values.tolist()):
+        for r2, value in zip(r2s.tolist(), row):
             writer.writerow([repr(r1), repr(r2), repr(value)])
     return expected.getvalue().encode()
 
@@ -382,6 +384,7 @@ def test_sweep_csv_is_csv_writer_bytes(config_path, tmp_path, r1, r2, steps, cel
     [
         (("xi4_sq: 0.968", "xi4_sq: 0"), ("0", "1"), "degenerate gain denominator"),
         (None, ("0", "300"), "outside floating-point range"),
+        (("mirror_R: 0.98", "mirror_R: 1"), ("0", "1"), "mirror_R = 1 leaves no feedforward port"),
     ],
 )
 def test_sweep_rejects_like_scalar_path(tmp_path, lab_config_text, capsys, edit, axes, message):
@@ -463,7 +466,7 @@ def scalar_draws(seed: int, n: int) -> list[ExperimentParams]:
             xi1=rng.uniform(0.5, 1.0), xi2=rng.uniform(0.5, 1.0),
             xi3=rng.uniform(0.5, 1.0), xi4=rng.uniform(0.5, 1.0),
             eta=rng.uniform(0.5, 1.0), mirror_R=rng.uniform(0.9, 1.0),
-            gain=GainSpec.fixed(rng.uniform(0.0, 1.5)),
+            gain=GainSpec("fixed", rng.uniform(0.0, 1.5)),
         )
         for _ in range(n)
     ]

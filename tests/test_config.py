@@ -165,7 +165,7 @@ def test_json_exponent_floats_parse():
         '"gain": {"mode": "fixed", "value": 7e-1}, "enl_db": 1e1}'
     )
     params = cfg.to_params()
-    assert params.gain == GainSpec.fixed(0.7)
+    assert params.gain == GainSpec("fixed", 0.7)
     assert params.enl_db == 10.0
     assert params.r2 == 0.587
     assert params.r1 == r_from_db(4.9)
@@ -176,7 +176,7 @@ def test_json_exponent_floats_parse():
 
 def test_yaml_exponent_gain_value_parses(lab_config_text):
     text = lab_config_text.replace("mode: optimal", "mode: fixed\n  value: 7e-1")
-    assert parse(text).to_params().gain == GainSpec.fixed(0.7)
+    assert parse(text).to_params().gain == GainSpec("fixed", 0.7)
 
 
 @pytest.mark.parametrize(("line", "key"), [("r1: 0.564", "r1_db"), ("r2: 0.587", "r2_db")])
@@ -192,7 +192,7 @@ def test_negative_db_squeezing_names_its_key(lab_config_text, line, key):
         (lambda t: t, {}),  # r-specified, optimal gain, enl present
         (lambda t: t.replace("r1: 0.564", "r1_db: 4.9"), {"r1": r_from_db(4.9)}),
         (lambda t: t.replace("mode: optimal", "mode: fixed\n  value: 0.74"),
-         {"gain": GainSpec.fixed(0.74)}),
+         {"gain": GainSpec("fixed", 0.74)}),
         (lambda t: t + "blocked: true\n", {"channel_blocked": True}),
         (lambda t: t.replace("enl_db: 11.3\n", ""), {"enl_db": None}),
     ],

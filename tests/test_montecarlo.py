@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -84,8 +85,7 @@ def test_estimate_matches_network_variance_per_kind(lab_params, kind, seed):
 def test_render_trace_snl_sits_at_zero_db(lab_params):
     trace = render_trace(lab_params, "snl", points=40, seed=5, n_per_point=4000)
     assert trace.pooled_db() == pytest.approx(0.0, abs=0.1)
-    assert len(trace.samples) == 40
-    assert trace.samples[0][0] == 0
+    assert len(trace.powers) == 40
 
 
 def test_render_trace_correlated_mean(lab_params):
@@ -101,13 +101,13 @@ def test_render_trace_blocked_mean(lab_params):
 def test_render_trace_deterministic(lab_params):
     t1 = render_trace(lab_params, "correlated", points=10, seed=8)
     t2 = render_trace(lab_params, "correlated", points=10, seed=8)
-    assert t1.samples == t2.samples
+    assert t1.powers == t2.powers
     t3 = render_trace(lab_params, "correlated", points=10, seed=9)
-    assert t3.samples != t1.samples
+    assert t3.powers != t1.powers
 
 
 def test_render_trace_respects_fixed_gain():
-    params = make_lab_params(gain=GainSpec.fixed(0.0))
+    params = make_lab_params(gain=GainSpec("fixed", 0.0))
     trace = render_trace(params, "correlated", points=30, seed=10, n_per_point=4000)
     # zero gain is the blocked spectrum
     assert trace.pooled_db() == pytest.approx(2.10, abs=0.1)
@@ -150,7 +150,7 @@ def test_trace_is_one_gamma_draw_per_point(lab_params):
     model, form = _trace_form(lab_params, "correlated")
     v = model.variance(form) / snl_reference()
     draws = np.random.default_rng(14).gamma(500 / 2, 2 / 500, 3)
-    assert [db for _, db in trace.samples] == [10.0 * math.log10(v * d) for d in draws]
+    assert trace.powers == [v * d for d in draws]
 
 
 @pytest.mark.parametrize(("n", "seed"), [(1, 71), (2, 72), (50, 73), (333, 74)])
@@ -161,7 +161,7 @@ def test_trace_point_has_the_law_of_a_mean_of_squared_normals(lab_params, n, see
     trace = render_trace(lab_params, "correlated", points=points, seed=seed, n_per_point=n)
     model, form = _trace_form(lab_params, "correlated")
     v = model.variance(form) / snl_reference()
-    powers = np.array([10.0 ** (db / 10.0) for _, db in trace.samples]) / v
+    powers = np.array(trace.powers) / v
     z = np.random.default_rng(seed + 1000).standard_normal((points, n))
     assert stats.ks_2samp(powers, np.mean(z * z, axis=1)).pvalue > 0.01
     # chi2_n / n has mean 1, variance 2/n and excess kurtosis 12/n
@@ -191,6 +191,10 @@ def test_trace_csv_roundtrip_and_sidecar(tmp_path, lab_params):
     text = out.read_text()
     assert text.splitlines()[0] == "point_index,db_value"
     assert len(text.splitlines()) == 6
+    # one row per point, in point order, each the point's power in dB
+    rows = list(csv.reader(text.splitlines()[1:]))
+    assert [int(index) for index, _ in rows] == list(range(5))
+    assert [float(db) for _, db in rows] == [10.0 * math.log10(p) for p in trace.powers]
     meta = yaml.safe_load(sidecar.read_text())
     assert meta["seed"] == 13
     assert meta["kind"] == "snl"
@@ -204,5 +208,5 @@ def test_trace_csv_roundtrip_and_sidecar(tmp_path, lab_params):
 def test_all_trace_kinds_render(lab_params):
     for kind in TRACE_KINDS:
         trace = render_trace(lab_params, kind, points=2, seed=1, n_per_point=50)
-        assert len(trace.samples) == 2
-        assert all(math.isfinite(db) for _, db in trace.samples)
+        assert len(trace.powers) == 2
+        assert all(0.0 < power < math.inf for power in trace.powers)  # a finite dB value

@@ -39,7 +39,7 @@ def random_params(rng, gain=None) -> ExperimentParams:
         xi1=rng.uniform(0.5, 1), xi2=rng.uniform(0.5, 1),
         xi3=rng.uniform(0.5, 1), xi4=rng.uniform(0.5, 1),
         eta=rng.uniform(0.5, 1), mirror_R=rng.uniform(0.9, 1),
-        gain=gain if gain is not None else GainSpec.fixed(rng.uniform(0, 1.5)),
+        gain=gain if gain is not None else GainSpec("fixed", rng.uniform(0, 1.5)),
     )
 
 
@@ -85,7 +85,7 @@ def test_nan_squeezing_and_gain_rejected():
     with pytest.raises(ValueError, match="squeezing.r1: must be >= 0"):
         replace(lab, r1=math.nan)
     with pytest.raises(ValueError, match="gain.value: must be >= 0"):
-        GainSpec.fixed(math.nan)
+        GainSpec("fixed", math.nan)
     # a batch with nan in one draw
     fields = {name: getattr(lab, name) * np.ones(3)
               for name in ("r1", "r2", "xi1", "xi2", "xi3", "xi4", "eta", "mirror_R")}
@@ -103,8 +103,8 @@ def test_gain_spec_validation():
         GainSpec("fixed")
     with pytest.raises(ValueError, match="optimal mode takes no 'value'"):
         GainSpec("optimal", 0.5)
-    assert GainSpec.fixed(0.3).value == 0.3
-    assert GainSpec.optimal().mode == "optimal"
+    assert GainSpec("fixed", 0.3).value == 0.3
+    assert GainSpec("optimal").mode == "optimal"
 
 
 # -- trivial gates ---------------------------------------------------------------
@@ -117,13 +117,13 @@ def test_snl_reference_is_unity():
 def test_all_vacuum_network_is_exact_snl():
     perfect = ExperimentParams(
         r1=0, r2=0, xi1=1, xi2=1, xi3=1, xi4=1, eta=1, mirror_R=1,
-        gain=GainSpec.fixed(0.0),
+        gain=GainSpec("fixed", 0.0),
     )
     report = run_experiment(perfect)
     assert report.v_plus == pytest.approx(1.0, abs=1e-12)
     assert report.v_minus == pytest.approx(1.0, abs=1e-12)
     # losses admit only vacuum, so the lossy unsqueezed chain sits at SNL too
-    lossy = make_lab_params(r1=0.0, r2=0.0, gain=GainSpec.fixed(0.0))
+    lossy = make_lab_params(r1=0.0, r2=0.0, gain=GainSpec("fixed", 0.0))
     report = run_experiment(lossy)
     assert report.v_plus == pytest.approx(1.0, abs=1e-12)
     assert report.entangled is False
@@ -134,7 +134,8 @@ def test_all_vacuum_network_is_exact_snl():
 
 def test_lab_point_with_optimal_gain(lab_params):
     report = run_experiment(lab_params)
-    assert report.g_swap_used == pytest.approx(0.741, abs=5e-3)
+    assert report.g_swap == pytest.approx(0.741, abs=5e-3)
+    assert report.gain_mode == "optimal"
     assert report.v_plus == pytest.approx(0.719, abs=1e-3)
     assert report.v_minus == pytest.approx(0.719, abs=1e-3)
     assert report.v_plus == pytest.approx(V_LAB, rel=1e-10)
@@ -144,14 +145,16 @@ def test_lab_point_with_optimal_gain(lab_params):
 
 def test_lab_point_with_fixed_gain(fixed_gain):
     report = run_experiment(make_lab_params(gain=fixed_gain))
-    assert report.g_swap_used == 0.741
+    assert report.g_swap == 0.741
+    assert report.gain_mode == "fixed"
     assert report.v_plus == pytest.approx(0.719, abs=1e-3)
 
 
 def test_blocked_channel(lab_params):
     blocked = replace(lab_params, channel_blocked=True)
     report = run_experiment(blocked)
-    assert report.g_swap_used == 0.0
+    assert report.g_swap == 0.0
+    assert report.gain_mode == "blocked"
     assert report.v_plus == pytest.approx(V_BLOCKED, rel=1e-10)
     assert report.v_plus_db == pytest.approx(2.10, abs=0.01)
     assert report.entangled is False
@@ -166,7 +169,7 @@ def test_network_matches_formula_random_draws():
     for _ in range(150):
         params = random_params(rng)
         report = run_experiment(params)
-        expected = variance_formula(params, report.g_swap_used)
+        expected = variance_formula(params, report.g_swap)
         worst = max(
             worst,
             abs(report.v_plus - expected) / expected,
@@ -189,7 +192,8 @@ def test_batch_matches_each_draw_bit_for_bit():
     assert v_plus.shape == v_minus.shape == (200,)
     for k, row in enumerate(draws.tolist()):
         *physics, g_swap = row
-        one = ExperimentParams(*physics, gain=GainSpec.fixed(g_swap), channel_blocked=bool(blocked[k]))
+        one = ExperimentParams(*physics, gain=GainSpec("fixed", g_swap),
+                               channel_blocked=bool(blocked[k]))
         m, h = build_network(one)
         assert m.variance(h.victor_plus) == v_plus[k]
         assert m.variance(h.victor_minus) == v_minus[k]
@@ -215,12 +219,12 @@ def test_network_matches_formula_wide_squeezing():
 def test_network_matches_formula_near_full_mirror():
     # the feedforward port sqrt(1 - R) is small here, and the electronic gain
     # divided by it must meet the port the network builds, not a nearby one
-    base = make_lab_params(gain=GainSpec.fixed(1.4))
+    base = make_lab_params(gain=GainSpec("fixed", 1.4))
     worst = 0.0
     for k in range(2, 16):
         params = replace(base, mirror_R=1.0 - 10.0**-k)
         report = run_experiment(params)
-        expected = variance_formula(params, report.g_swap_used)
+        expected = variance_formula(params, report.g_swap)
         worst = max(worst, abs(report.v_plus - expected) / expected,
                     abs(report.v_minus - expected) / expected)
     assert worst <= 1e-9
@@ -236,9 +240,9 @@ def test_plus_and_minus_channels_agree():
 def test_optimal_gain_draws_also_match_formula():
     rng = np.random.default_rng(31)
     for _ in range(30):
-        params = random_params(rng, gain=GainSpec.optimal())
+        params = random_params(rng, gain=GainSpec("optimal"))
         report = run_experiment(params)
-        expected = variance_formula(params, report.g_swap_used)
+        expected = variance_formula(params, report.g_swap)
         assert report.v_plus == pytest.approx(expected, rel=1e-9)
 
 
@@ -248,14 +252,14 @@ def test_optimal_gain_draws_also_match_formula():
 def test_single_mode_noise_vacuum_chain():
     perfect = make_lab_params(
         r1=0.0, r2=0.0, xi1_sq=1, xi2_sq=1, xi3_sq=1, xi4_sq=1, eta_sq=1,
-        gain=GainSpec.fixed(0.0),
+        gain=GainSpec("fixed", 0.0),
     )
     assert single_mode_noise(perfect, "a") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_mode_noise_lossless_squeezer():
     params = make_lab_params(
-        xi1_sq=1, xi2_sq=1, xi3_sq=1, xi4_sq=1, eta_sq=1, gain=GainSpec.fixed(0.0)
+        xi1_sq=1, xi2_sq=1, xi3_sq=1, xi4_sq=1, eta_sq=1, gain=GainSpec("fixed", 0.0)
     )
     noise = single_mode_noise(params, "a")
     assert noise == pytest.approx(math.cosh(2 * 0.564), rel=1e-12)
@@ -285,7 +289,7 @@ def test_single_mode_noise_unknown_label(lab_params):
 def test_claire_currents_vacuum_normalization():
     params = make_lab_params(
         r1=0.0, r2=0.0, xi1_sq=1, xi2_sq=1, xi3_sq=1, xi4_sq=1, eta_sq=1,
-        gain=GainSpec.fixed(0.0),
+        gain=GainSpec("fixed", 0.0),
     )
     model, handles = build_network(params)
     assert model.variance(handles.i_plus) == pytest.approx(1.0, abs=1e-12)
@@ -294,7 +298,7 @@ def test_claire_currents_vacuum_normalization():
 
 def test_claire_currents_lossless_value():
     params = make_lab_params(
-        xi1_sq=1, xi2_sq=1, xi3_sq=1, xi4_sq=1, eta_sq=1, gain=GainSpec.fixed(0.0)
+        xi1_sq=1, xi2_sq=1, xi3_sq=1, xi4_sq=1, eta_sq=1, gain=GainSpec("fixed", 0.0)
     )
     model, handles = build_network(params)
     expected = (math.cosh(2 * 0.564) + math.cosh(2 * 0.587)) / 2
@@ -357,7 +361,7 @@ def test_blocked_channel_never_below_snl():
 
 
 def test_full_mirror_with_gain_is_rejected(lab_params):
-    sealed = replace(lab_params, mirror_R=1.0, gain=GainSpec.fixed(0.5))
+    sealed = replace(lab_params, mirror_R=1.0, gain=GainSpec("fixed", 0.5))
     with pytest.raises(ValueError, match="feedforward port"):
         run_experiment(sealed)
 
