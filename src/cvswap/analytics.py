@@ -103,17 +103,18 @@ def _optimal_gain(params: ExperimentParams, r1, r2, xp):
     exp = xp.exp
     e2r1, e2r2 = exp(2.0 * r1), exp(2.0 * r2)
     e4r1, e4r2 = exp(4.0 * r1), exp(4.0 * r2)
+    e2r12 = exp(2.0 * (r1 + r2))
     sqrt_r = math.sqrt(params.mirror_R)
     eta_sq = params.eta**2
     xi1_sq = params.xi1**2
 
     numerator = eta_sq * ((e4r1 - 1.0) * e2r2 * params.xi3
                           + e2r1 * (e4r2 - 1.0) * sqrt_r * params.xi2 * params.xi4) * xi1_sq
-    denominator = (4.0 * exp(2.0 * (r1 + r2))
+    denominator = (4.0 * e2r12
                    + eta_sq * (e2r1 + e2r2
                                + exp(4.0 * r1 + 2.0 * r2)
                                + exp(2.0 * r1 + 4.0 * r2)
-                               - 4.0 * exp(2.0 * (r1 + r2))) * xi1_sq) * params.xi4
+                               - 4.0 * e2r12) * xi1_sq) * params.xi4
     return numerator / denominator
 
 

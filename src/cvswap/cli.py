@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -86,7 +85,7 @@ def _electronic_gain(g_swap: float, params: ExperimentParams) -> dict:
 
 def _predict_payload(params: ExperimentParams) -> dict:
     report = swap.run_experiment(params)
-    payload = {**dataclasses.asdict(report), **_electronic_gain(report.g_swap, params)}
+    payload = {**vars(report), **_electronic_gain(report.g_swap, params)}
     if params.enl_db is not None:
         payload["enl_db"] = params.enl_db
         payload["enl_corrected_db_below_snl"] = {
@@ -228,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not ok:
         assert worst_params is not None
         print("offending parameter set:", file=sys.stderr)
-        print(json.dumps(dataclasses.asdict(worst_params), indent=2), file=sys.stderr)
+        print(json.dumps(worst_params.as_dict(), indent=2), file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 

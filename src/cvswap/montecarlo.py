@@ -16,13 +16,19 @@ point costs the same at any averaging depth. Scaling by V once keeps a finite
 V from overflowing inside the average. Each call seeds one numpy PCG64
 generator and draws its points (or chunks) from it in order. Seeded traces
 differ from those written by 0.4.0, which drew every sample.
+
+Each file of a trace is written with one ``write``. The CSV rows are formatted
+directly, with the bytes ``csv.writer`` gives for ``[index, repr(dB)]``. The
+sidecar is a YAML event stream built from the metadata and fed to PyYAML's
+emitter (libyaml where PyYAML was built with it), with the bytes of
+``yaml.safe_dump(metadata, sort_keys=True)`` but no representer node tree.
+Both files keep the bytes of 0.5.0's first writer, which called those two.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,20 +154,71 @@ def render_trace(
             "single static Gaussian mode per beam; analyzer bandwidths only set "
             "the per-point averaging depth, no spectral dynamics"
         ),
-        "params": asdict(params),
+        "params": params.as_dict(),
     }
     return TraceSeries(powers, metadata)
+
+
+_TAG = "tag:yaml.org,2002:"
+_RESOLVER = yaml.resolver.Resolver()
+
+
+def _scalar_event(value) -> yaml.ScalarEvent:
+    """``value`` as ``SafeRepresenter`` and the serializer would emit it."""
+    kind = type(value)
+    if kind is str:
+        # plain only where the resolver would not read the text back as another type
+        plain = _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _TAG + "str"
+        return yaml.ScalarEvent(None, _TAG + "str", (plain, True), value)
+    if value is None:
+        tag, text = "null", "null"
+    elif kind is bool:
+        tag, text = "bool", "true" if value else "false"
+    elif kind is int:
+        tag, text = "int", str(value)
+    elif kind is float:
+        tag, text = "float", repr(value)
+        if not math.isfinite(value):
+            text = ".nan" if value != value else "-.inf" if value < 0 else ".inf"
+        elif "." not in text and "e" in text:
+            text = text.replace("e", ".0e", 1)  # 1e16 is no YAML float, 1.0e16 is
+    else:
+        raise yaml.representer.RepresenterError(f"cannot represent an object: {value!r}")
+    return yaml.ScalarEvent(None, _TAG + tag, (True, False), text)
+
+
+def _mapping_events(mapping: dict, events: list) -> None:
+    """Append the events of a block mapping, keys sorted, to ``events``."""
+    events.append(yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False))
+    for key, value in sorted(mapping.items()):
+        events.append(_scalar_event(key))
+        if type(value) is dict:
+            _mapping_events(value, events)
+        else:
+            events.append(_scalar_event(value))
+    events.append(yaml.MappingEndEvent())
+
+
+def _sidecar_events(metadata: dict) -> list:
+    """The YAML events of ``yaml.safe_dump(metadata, sort_keys=True)``.
+
+    ``metadata`` is a tree of dicts with str keys and None, bool, int, float or
+    str leaves, no dict reached twice (``safe_dump`` would anchor it).
+    """
+    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
+    _mapping_events(metadata, events)
+    return events + [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
 
 
 def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
     """Write the trace as CSV plus a YAML metadata sidecar; returns the sidecar path."""
     path = Path(path)
+    # csv.writer's bytes for [index, repr(dB)] rows: no cell needs quoting
+    rows = [f"{index},{10.0 * math.log10(power)!r}\r\n"
+            for index, power in enumerate(trace.powers)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_index", "db_value"])
-        for index, power in enumerate(trace.powers):
-            writer.writerow([index, repr(10.0 * math.log10(power))])
+        fh.write("point_index,db_value\r\n" + "".join(rows))
     sidecar = path.with_suffix(".meta.yaml")
     with open(sidecar, "w") as fh:
-        yaml.dump(trace.metadata, fh, Dumper=_Dumper, sort_keys=True)
+        fh.write(yaml.emit(_sidecar_events(trace.metadata), Dumper=_Dumper))
     return sidecar

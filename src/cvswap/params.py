@@ -106,6 +106,11 @@ class ExperimentParams:
         """``()`` for one parameter point, ``(n,)`` for a batch of n draws."""
         return _shape(self.r1)
 
+    def as_dict(self) -> dict:
+        """The fields by name, ``gain`` as a nested dict: ``dataclasses.asdict`` without
+        its recursive deep copy, which a record of floats does not need."""
+        return {**vars(self), "gain": dict(vars(self.gain))}
+
     @classmethod
     def from_intensities(
         cls,

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvswap.analytics
-from cvswap import ConfigFile, ExperimentParams, GainSpec, VarianceReport, montecarlo
+from cvswap import (ConfigFile, ExperimentParams, GainSpec, VarianceReport, montecarlo,
+                    run_experiment)
 from cvswap.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, SWEEP_BLOCK_CELLS,
                         VERIFY_CHUNK, build_parser, main)
 from conftest import LAB_INTENSITIES, LAB_R1, LAB_R2
@@ -111,6 +112,17 @@ def test_predict_blocked_config(tmp_path, lab_config_text, capsys):
     assert payload["v_plus"] == pytest.approx(1.620, abs=1e-3)
     assert payload["entangled"] is False
     assert payload["g_swap"] == 0.0
+
+
+@pytest.mark.parametrize(("gain", "extra"), [("optimal", ""), ("optimal", "blocked: true\n"),
+                                             ("fixed\n  value: 1.6", "")])
+def test_predict_json_head_is_the_report_as_asdict(tmp_path, lab_config_text, capsys, gain, extra):
+    path = tmp_path / "bench.yaml"
+    path.write_text(lab_config_text.replace("mode: optimal", f"mode: {gain}") + extra)
+    assert run(["predict", "--config", str(path), "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    head = dataclasses.asdict(run_experiment(ConfigFile.load(path).to_params()))
+    assert list(payload.items())[:len(head)] == list(head.items())
 
 
 def test_predict_zero_squeezing_not_entangled(tmp_path, lab_config_text, capsys):

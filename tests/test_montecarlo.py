@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from cvswap import (
     GainSpec,
@@ -18,7 +21,8 @@ from cvswap import (
     snl_reference,
     write_trace_csv,
 )
-from cvswap.montecarlo import DEFAULT_N_PER_POINT, RNG_ALGORITHM, TRACE_KINDS, _trace_form
+from cvswap.montecarlo import (DEFAULT_N_PER_POINT, RNG_ALGORITHM, TRACE_KINDS, TraceSeries,
+                               _Dumper, _sidecar_events, _trace_form)
 from conftest import make_lab_params
 
 V_LAB = 0.718796855333
@@ -210,3 +214,75 @@ def test_all_trace_kinds_render(lab_params):
         trace = render_trace(lab_params, kind, points=2, seed=1, n_per_point=50)
         assert len(trace.powers) == 2
         assert all(0.0 < power < math.inf for power in trace.powers)  # a finite dB value
+
+
+# -- the trace writer's bytes ------------------------------------------------------
+
+
+def _csv_writer_bytes(powers) -> bytes:
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["point_index", "db_value"])
+    for index, power in enumerate(powers):
+        writer.writerow([index, repr(10 * math.log10(power))])
+    return expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("points", [1, 2, 57])
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_trace_csv_bytes_match_csv_writer(tmp_path, lab_params, kind, points):
+    trace = render_trace(lab_params, kind, points=points, seed=17)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == _csv_writer_bytes(trace.powers)
+
+
+def test_trace_csv_bytes_match_csv_writer_far_from_snl(tmp_path):
+    # negative and positive dB, short and long reprs, the ends of the float range
+    powers = [0.5, 1.0, 3.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.7188, 10.0]
+    write_trace_csv(TraceSeries(powers, {"kind": "snl"}), tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == _csv_writer_bytes(powers)
+
+
+@pytest.mark.parametrize("gain", [GainSpec("optimal"), GainSpec("fixed", 0.74)])
+def test_sidecar_params_match_asdict(tmp_path, gain):
+    params = make_lab_params(gain=gain, channel_blocked=gain.mode == "fixed", enl_db=11.3)
+    trace = render_trace(params, "correlated", points=2, seed=18)
+    assert list(trace.metadata["params"].items()) == list(dataclasses.asdict(params).items())
+    meta = yaml.safe_load(write_trace_csv(trace, tmp_path / "trace.csv").read_text())
+    assert meta["params"] == dataclasses.asdict(params)
+
+
+# strings the resolver reads as another type must stay quoted; long ones fold
+_TYPED_TEXT = ["true", "null", "123", "1e3", "=", "", "~", "No", "0x1f", ".inf", "-.5", "1_000",
+               "2001-12-14", "<<", "3.", "1:20", "- a", "a: b", "#x", " lead", "trail "]
+_WORDS = st.sampled_from(["gamma", "1e3", "true", "a:", "#", "x" * 40, "-", "'q'", '"dq"'])
+_TEXT = (st.sampled_from(_TYPED_TEXT) | st.text(max_size=12)
+         | st.lists(_WORDS, min_size=12, max_size=30).map(" ".join))
+_FLOATS = [1e-05, 1e16, -0.0, 1e300, 5e-324, 1e22, 0.1, math.inf, -math.inf, math.nan]
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(min_value=10**18)
+           | st.floats() | st.sampled_from(_FLOATS) | _TEXT)
+_METADATA = st.dictionaries(
+    _TEXT, st.recursive(_LEAVES, lambda tree: st.dictionaries(_TEXT, tree, max_size=3),
+                        max_leaves=6),
+    max_size=6)
+
+
+@settings(derandomize=True, deadline=None)
+@given(metadata=_METADATA)
+@example(metadata={})
+@example(metadata={"params": {}, "e": {"deep": {"deeper": {"x": 1e-05}}}, "n": 10**40})
+def test_sidecar_events_emit_safe_dump_text(metadata):
+    # the events are the serializer's, so each emitter writes what a full dump through it
+    # writes; libyaml and the pure-Python emitter differ on some keys (an empty one)
+    expected = yaml.safe_dump(metadata, sort_keys=True)
+    assert yaml.emit(_sidecar_events(metadata), Dumper=yaml.SafeDumper) == expected
+    expected = yaml.dump(metadata, Dumper=_Dumper, sort_keys=True)
+    assert yaml.emit(_sidecar_events(metadata), Dumper=_Dumper) == expected
+
+
+def test_sidecar_events_reject_values_outside_the_tree_shape():
+    with pytest.raises(yaml.representer.RepresenterError):
+        yaml.safe_dump({"x": np.float64(1.0)})
+    for value in (np.float64(1.0), [1, 2], (1,)):  # safe_dump writes the last two
+        with pytest.raises(yaml.representer.RepresenterError):
+            _sidecar_events({"x": value})
