@@ -33,7 +33,9 @@ ORACLE_TOLERANCE = 1e-9  # max relative deviation, closed form vs network
 # r1, r2, xi1, xi2, xi3, xi4, eta, mirror_R, g_swap (a fixed gain)
 DRAW_LOW = np.array([0.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.9, 0.0])
 DRAW_HIGH = np.array([1.5, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5])
-VERIFY_CHUNK = 512  # draws per network build; bounds memory at any --random
+# draws per network build, bounding memory at any --random; the first build
+# also carries the config point, as row 0
+VERIFY_CHUNK = 512
 SWEEP_BLOCK_CELLS = 4096  # grid cells turned to text at once; bounds the CSV writer's memory
 
 # the most float64 elements one array can hold on this platform (numpy's size limit)
@@ -192,42 +194,53 @@ def _drawn_params(columns) -> ExperimentParams:
     return ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))
 
 
-def _oracle_deviation(params: ExperimentParams):
-    """Relative deviation of the network oracle from the closed form, one per draw."""
-    v_plus, v_minus, g_swap = swap.verification_variances(params)
-    expected = analytics.variance_formula(params, g_swap)
-    return np.maximum(abs(v_plus - expected) / abs(expected),
-                      abs(v_minus - expected) / abs(expected))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.random < 0:
         raise ConfigError(f"--random must be >= 0, got {args.random}")
     if args.config is None and not args.random:
         raise ConfigError("verify needs --config and/or --random N")
 
-    worst, worst_params, n_points = -1.0, None, 0
-    if args.config is not None:
-        params = ConfigFile.load(args.config).to_params()
-        worst, worst_params, n_points = float(_oracle_deviation(params)), params, 1
+    config = None if args.config is None else ConfigFile.load(args.config).to_params()
     rng = np.random.default_rng(args.seed)
-    for start in range(0, args.random, VERIFY_CHUNK):
+    # the worst point's drawn row; None for the config point
+    worst, worst_draw, n_points = -1.0, None, 0
+    for start in range(0, max(args.random, 1), VERIFY_CHUNK):
         # row-major: the same stream as nine scalar uniform calls per draw
         draws = rng.uniform(DRAW_LOW, DRAW_HIGH,
                             size=(min(VERIFY_CHUNK, args.random - start), DRAW_LOW.size))
-        deviations = _oracle_deviation(_drawn_params(draws.T))
+        rows, ahead = draws, 0
+        if config is not None and start == 0:
+            # the config point rides as row 0 at the gain it is built with alone
+            g_config = swap.resolve_gain(config)
+            point = [config.r1, config.r2, config.xi1, config.xi2, config.xi3, config.xi4,
+                     config.eta, config.mirror_R, g_config]
+            rows, ahead = np.vstack((point, draws)), 1
+        params = _drawn_params(rows.T)
+        # numpy warns where the one-point build's float arithmetic overflows to inf
+        # silently (2 r for r near the float maximum)
+        with np.errstate(over="ignore"):
+            v_plus, v_minus, g_swap = swap.verification_variances(params)
+        # the config point keeps its own scalar closed form (numpy's exp is not
+        # math.exp), evaluated first so that it raises first; the batch's row 0 is dropped
+        expected = np.empty(len(rows))
+        if ahead:
+            expected[0] = analytics.variance_formula(config, g_config)
+        if len(draws):
+            expected[ahead:] = analytics.variance_formula(params, g_swap)[ahead:]
+        deviations = np.maximum(abs(v_plus - expected) / abs(expected),
+                                abs(v_minus - expected) / abs(expected))
         k = int(np.argmax(deviations))
         if deviations[k] > worst:
-            worst, worst_params = float(deviations[k]), _drawn_params(draws[k].tolist())
-        n_points += len(draws)
+            worst, worst_draw = float(deviations[k]), None if k < ahead else draws[k - ahead]
+        n_points += len(rows)
     ok = worst <= ORACLE_TOLERANCE
     status = "pass" if ok else "FAIL"
     print(f"{status}: max relative deviation {worst:.3e} over {n_points} point(s) "
           f"(tolerance {ORACLE_TOLERANCE:.0e})")
     if not ok:
-        assert worst_params is not None
+        offending = config if worst_draw is None else _drawn_params(worst_draw.tolist())
         print("offending parameter set:", file=sys.stderr)
-        print(json.dumps(worst_params.as_dict(), indent=2), file=sys.stderr)
+        print(json.dumps(offending.as_dict(), indent=2), file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -13,12 +13,14 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvswap.analytics
+import cvswap.swap
 from cvswap import (ConfigFile, ExperimentParams, GainSpec, VarianceReport, montecarlo,
                     run_experiment)
 from cvswap.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, EXIT_VERIFY, SWEEP_BLOCK_CELLS,
@@ -467,6 +469,7 @@ def test_verify_detects_corrupted_formula(config_path, capsys, monkeypatch):
     assert captured.out.startswith("FAIL")
     assert "offending parameter set" in captured.err
     assert '"mirror_R": 0.98' in captured.err
+    assert '"mode": "optimal"' in captured.err  # the config's own set, not its batch row
 
 
 def scalar_draws(seed: int, n: int) -> list[ExperimentParams]:
@@ -484,9 +487,9 @@ def scalar_draws(seed: int, n: int) -> list[ExperimentParams]:
     ]
 
 
-def test_verify_names_the_failing_draw_past_a_chunk_boundary(capsys, monkeypatch):
-    assert VERIFY_CHUNK <= 700  # draw 700 is checked in a later chunk than draw 0
-    target = scalar_draws(7, 1500)[700]
+def _corrupt_one_draw(monkeypatch, index: int) -> ExperimentParams:
+    """Make the closed form wrong for draw ``index`` of seed 7 alone; return that draw."""
+    target = scalar_draws(7, index + 1)[index]
     true_formula = cvswap.analytics.variance_formula
 
     def corrupted(params, g_swap):
@@ -494,12 +497,32 @@ def test_verify_names_the_failing_draw_past_a_chunk_boundary(capsys, monkeypatch
         return np.where(params.r1 == target.r1, value * 1.000001, value)
 
     monkeypatch.setattr(cvswap.analytics, "variance_formula", corrupted)
+    return target
+
+
+def _offending(err: str) -> dict:
+    return json.loads(err.split("offending parameter set:", 1)[1])
+
+
+def test_verify_names_the_failing_draw_past_a_chunk_boundary(capsys, monkeypatch):
+    assert VERIFY_CHUNK <= 700  # draw 700 is checked in a later chunk than draw 0
+    target = _corrupt_one_draw(monkeypatch, 700)
     assert run(["verify", "--random", "1500", "--seed", "7"]) == EXIT_VERIFY
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL")
     assert "over 1500 point(s)" in captured.out
-    offending = json.loads(captured.err.split("offending parameter set:", 1)[1])
-    assert offending == dataclasses.asdict(target)
+    assert _offending(captured.err) == dataclasses.asdict(target)
+
+
+@pytest.mark.parametrize("index", [3, 700])
+def test_verify_with_a_config_names_the_failing_draw(config_path, capsys, monkeypatch, index):
+    # draw 3 shares the first build with the config point, one row behind it
+    target = _corrupt_one_draw(monkeypatch, index)
+    assert run(["verify", "--config", config_path, "--random", "1500", "--seed", "7"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL")
+    assert "over 1501 point(s)" in captured.out
+    assert _offending(captured.err) == dataclasses.asdict(target)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -507,6 +530,115 @@ def test_verify_counts_points_across_chunks(capsys, extra):
     n = VERIFY_CHUNK + extra
     assert run(["verify", "--random", str(n), "--seed", "3"]) == EXIT_OK
     assert f"over {n} point(s)" in capsys.readouterr().out
+
+
+def test_verify_builds_one_network_per_chunk(config_path, capsys, monkeypatch):
+    # the config point rides as one more row of the first chunk's build
+    shapes = []
+    true_build = cvswap.swap.build_network
+
+    def counted(params):
+        shapes.append(params.batch_shape)
+        return true_build(params)
+
+    monkeypatch.setattr(cvswap.swap, "build_network", counted)
+    for n, builds in ((200, [(201,)]), (0, [(1,)]),
+                      (2 * VERIFY_CHUNK + 1, [(VERIFY_CHUNK + 1,), (VERIFY_CHUNK,), (1,)])):
+        shapes.clear()
+        assert run(["verify", "--config", config_path, "--random", str(n)]) == EXIT_OK
+        assert shapes == builds
+        assert f"over {n + 1} point(s)" in capsys.readouterr().out
+
+
+_EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
+
+
+def _edited_example(path: Path, edits) -> str:
+    """``configs/example.yaml`` with each ``(old, new)`` text edit applied, written to ``path``."""
+    text = _EXAMPLE_CONFIG.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    return str(path)
+
+
+def _one_point_line(params: ExperimentParams, n_points: int) -> str:
+    """verify's line when ``params``, built and checked as one point, is the worst point."""
+    v_plus, v_minus, g_swap = cvswap.swap.verification_variances(params)
+    expected = cvswap.analytics.variance_formula(params, g_swap)
+    deviation = max(abs(v_plus - expected) / abs(expected), abs(v_minus - expected) / abs(expected))
+    return (f"pass: max relative deviation {deviation:.3e} over {n_points} point(s) "
+            f"(tolerance 1e-09)\n")
+
+
+_OPTIMAL = "mode: optimal"
+
+
+@pytest.mark.parametrize(("edits", "draws"), [
+    ((), 0),
+    ((("# blocked: true", "blocked: true"),), 0),
+    (((_OPTIMAL, "mode: fixed\n  value: 1.6"),), 0),
+    ((("mirror_R: 0.98", "mirror_R: 0.9999999"),), 0),
+    ((("mirror_R: 0.98", "mirror_R: 0.9999999"),), 5),  # the worst of the six points
+    ((("r1: 0.564", "r1: 0.6"),), 0),  # numpy's exp would move this closed form's last bit
+], ids=["example", "blocked", "fixed-1.6", "R-0.9999999", "R-0.9999999-random-5", "r1-0.6"])
+def test_verify_config_point_keeps_its_one_point_deviation(tmp_path, capsys, edits, draws):
+    path = _edited_example(tmp_path / "point.yaml", edits)
+    assert run(["verify", "--config", path, "--random", str(draws)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == _one_point_line(ConfigFile.load(path).to_params(), draws + 1)
+    assert captured.err == ""
+
+
+_COVARIANCE_OVERFLOW = ("physics rejection: result outside floating-point range "
+                        "(OverflowError: covariance is inf or nan)\n")
+
+# rejected configs (edits to configs/example.yaml) and verify's one line of stderr
+_REJECTED = [
+    ((("mirror_R: 0.98", "mirror_R: 1"),),
+     "physics rejection: mirror_R = 1 leaves no feedforward port\n"),
+    ((("xi1_sq: 0.970", "xi1_sq: 0"), (_OPTIMAL, "mode: fixed\n  value: 0.7")),
+     "physics rejection: eta and xi1 must be > 0 to set an electronic gain\n"),
+    ((("r1: 0.564", "r1: 200"), ("r2: 0.587", "r2: 1")),
+     "physics rejection: result outside floating-point range (OverflowError: math range error)\n"),
+    (((_OPTIMAL, "mode: fixed\n  value: 1e300"),), _COVARIANCE_OVERFLOW),
+    # 2 r overflows: silently in float arithmetic, with a warning in numpy's
+    ((("r2: 0.587", "r2: 1e308"), ("# blocked: true", "blocked: true")), _COVARIANCE_OVERFLOW),
+]
+
+# runs each argv of the JSON list in argv[1] through main, in one interpreter
+_RUN_EACH = """\
+import contextlib, io, json, sys
+from cvswap.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("python_warnings", [None, "error"])
+def test_verify_rejected_config_keeps_exit_and_message(tmp_path, python_warnings):
+    # a fresh interpreter with Python's own warning filters: a warning is printed
+    # (the first time) into the captured stderr, or raised under "error"
+    argvs, expected = [], []
+    for i, (edits, message) in enumerate(_REJECTED):
+        path = _edited_example(tmp_path / f"rejected{i}.yaml", edits)
+        for extra in ([], ["--random", "5"]):
+            argvs.append(["verify", "--config", path, *extra])
+            expected.append([EXIT_PHYSICS, "", message])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cvswap.__file__))
+    if python_warnings:
+        env["PYTHONWARNINGS"] = python_warnings
+    done = subprocess.run([sys.executable, "-c", _RUN_EACH, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert json.loads(done.stdout) == expected
 
 
 def test_verify_negative_random_with_config_is_config_error(config_path, capsys):
