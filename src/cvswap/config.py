@@ -62,6 +62,10 @@ def _section(doc: dict, key: str, allowed: set[str]) -> dict:
     return section
 
 
+# a document nests no deeper than its count of YAML's nesting indicators [ { - ? :, and
+# libyaml composes each level by C recursion: an 8 MB stack overflows near 25,000 levels
+_MAX_INDICATORS = 2000
+
 _TOP_KEYS = {"squeezing", "efficiencies", "mirror_R", "gain", "enl_db", "blocked"}
 _EFF_KEYS = {"xi1_sq", "xi2_sq", "xi3_sq", "xi4_sq", "eta_sq"}
 
@@ -125,9 +129,12 @@ class ConfigFile:
 
     @classmethod
     def loads(cls, text: str) -> ConfigFile:
-        try:
+        if len(text) > _MAX_INDICATORS and sum(map(text.count, "[{-?:")) > _MAX_INDICATORS:
+            raise ConfigError(f"config syntax error: over {_MAX_INDICATORS} nesting "
+                              "indicators ([ { - ? :), too deep to parse")
+        try:  # ValueError: an int of > 4300 digits; RecursionError: deep pure-Python PyYAML
             doc = yaml.load(text, Loader=_Loader)
-        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of > 4300 digits
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise ConfigError(f"config syntax error: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -14,7 +14,8 @@ has shape ``(S, *batch)``, ``rows`` ``(R, S, *batch)`` and a form
 fixed when the model is created and no element changes it: a parameter is a
 float or an array of that shape, a form has exactly those batch axes, and
 anything else is a ``ValueError``. One parameter point is batch shape ``()``,
-and each draw of a batch gives bit for bit the numbers it gives alone.
+and each draw of a batch gives bit for bit the numbers it gives alone, with
+the same silence where a value overflows to inf: no numpy warning.
 
 Variances are shot-noise normalized: a vacuum quadrature has variance 1, so
 the shot noise limit sits at 1 by construction and a two-mode squeezed pair
@@ -53,14 +54,17 @@ _EPR_ROWS = np.array(
 _VACUUM_ROWS = np.eye(2)
 
 
-def _exp(x):
-    """``math.exp`` elementwise.
+def _exp(factor: float, x):
+    """``math.exp(factor * x)`` elementwise.
 
     numpy's ``exp`` differs from libm's in the last ulp on some inputs, and a
-    draw must give the same bits inside a batch as alone.
+    draw must give the same bits inside a batch as alone. A product past the
+    float range is inf in a batch as in one point's float arithmetic, silently.
     """
     if not isinstance(x, np.ndarray):
-        return math.exp(x)
+        return math.exp(factor * x)
+    with np.errstate(over="ignore"):
+        x = factor * x
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
@@ -213,7 +217,7 @@ class GaussianModel:
         if la in self.labels or lb in self.labels or la == lb:
             raise ValueError(f"mode labels {labels!r} must be fresh and distinct")
         r = self._param(r)
-        quiet, loud = _exp(-2.0 * r), _exp(+2.0 * r)
+        quiet, loud = _exp(-2.0, r), _exp(+2.0, r)
         return self._add_modes(labels, (quiet, loud, loud, quiet), _EPR_ROWS)
 
     def beamsplitter(self, labels: tuple[str, str], transmittance_amplitude) -> GaussianModel:

@@ -112,43 +112,14 @@ class ExperimentParams:
         return {**vars(self), "gain": dict(vars(self.gain))}
 
     @classmethod
-    def from_intensities(
-        cls,
-        *,
-        r1: float,
-        r2: float,
-        xi1_sq: float,
-        xi2_sq: float,
-        xi3_sq: float,
-        xi4_sq: float,
-        eta_sq: float,
-        mirror_R: float,
-        gain: GainSpec = GainSpec("optimal"),
-        channel_blocked: bool = False,
-        enl_db: float | None = None,
-    ) -> ExperimentParams:
-        """Build from intensity efficiencies (the convention instruments quote)."""
-        for name, value in (
-            ("xi1_sq", xi1_sq),
-            ("xi2_sq", xi2_sq),
-            ("xi3_sq", xi3_sq),
-            ("xi4_sq", xi4_sq),
-            ("eta_sq", eta_sq),
-        ):
-            check_unit(name, value)
-        return cls(
-            r1=r1,
-            r2=r2,
-            xi1=math.sqrt(xi1_sq),
-            xi2=math.sqrt(xi2_sq),
-            xi3=math.sqrt(xi3_sq),
-            xi4=math.sqrt(xi4_sq),
-            eta=math.sqrt(eta_sq),
-            mirror_R=mirror_R,
-            gain=gain,
-            channel_blocked=channel_blocked,
-            enl_db=enl_db,
-        )
+    def from_intensities(cls, *, xi1_sq: float, xi2_sq: float, xi3_sq: float, xi4_sq: float,
+                         eta_sq: float, **fields) -> ExperimentParams:
+        """Build from intensity efficiencies (the convention instruments quote); every
+        other field goes to the record by name, with the record's defaults."""
+        intensities = {"xi1": xi1_sq, "xi2": xi2_sq, "xi3": xi3_sq, "xi4": xi4_sq, "eta": eta_sq}
+        for name, value in intensities.items():
+            check_unit(f"{name}_sq", value)
+        return cls(**{name: math.sqrt(value) for name, value in intensities.items()}, **fields)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import cvswap.analytics
@@ -603,7 +604,7 @@ _REJECTED = [
     ((("r1: 0.564", "r1: 200"), ("r2: 0.587", "r2: 1")),
      "physics rejection: result outside floating-point range (OverflowError: math range error)\n"),
     (((_OPTIMAL, "mode: fixed\n  value: 1e300"),), _COVARIANCE_OVERFLOW),
-    # 2 r overflows: silently in float arithmetic, with a warning in numpy's
+    # 2 r overflows to inf: silently, for one point and in a batch
     ((("r2: 0.587", "r2: 1e308"), ("# blocked: true", "blocked: true")), _COVARIANCE_OVERFLOW),
 ]
 
@@ -862,6 +863,82 @@ def test_edge_configs_exit_cleanly_and_print_no_inf_or_nan(tmp_path_factory, con
         if code == EXIT_OK and out.exists():
             texts.append(out.read_text())
         assert not any(_NON_FINITE_TEXT.search(text) for text in texts), (command, texts)
+
+
+# -- any document shape in every slot ----------------------------------------------------
+
+_SLOT_KEYS = ("squeezing", "efficiencies", "mirror_R", "gain", "enl_db", "blocked", "r1",
+              "r2_db", "xi1_sq", "eta_sq", "mode", "value")
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.sampled_from((0, 0.5, -1.0, 10**30)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(_SLOT_KEYS) | st.text(max_size=3) | st.none() | st.booleans() | st.integers(),
+        inner, max_size=3),
+    max_leaves=6)
+# stderr's first words for each exit code but 0, whose stderr is empty
+_STDERR_PREFIXES = {1: ("i/o error: ", "out of memory: "), 2: ("config error: ",),
+                    3: ("physics rejection: ",), 4: ("offending parameter set:",)}
+
+
+_LAB_DOCUMENT = {**_lab_config(0.74), "gain": {"mode": "optimal"}, "blocked": False}
+
+
+def _slots(value, path=()):
+    """The key path of every slot in a document, the root ``()`` first."""
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _slots(child, (*path, key))
+
+
+def _spoiled(draw, doc, path):
+    """``doc`` with junk in the slot at ``path``, that slot's key dropped, or an unknown key
+    beside it; unchanged where an earlier spoiling removed the path."""
+    if not path:
+        return draw(_JUNK)
+    key, *rest = path
+    if not isinstance(doc, dict) or key not in doc:
+        return doc
+    doc = dict(doc)
+    if rest:
+        doc[key] = _spoiled(draw, doc[key], rest)
+        return doc
+    how = draw(st.sampled_from(("junk", "drop", "unknown key")))
+    if how == "drop":
+        del doc[key]
+    else:
+        slot = key if how == "junk" else draw(st.sampled_from(_SLOT_KEYS) | st.text(max_size=3))
+        doc[slot] = draw(_JUNK)
+    return doc
+
+
+@st.composite
+def _shaped_documents(draw):
+    """The lab document spoiled in up to three slots, so the lab document itself among them."""
+    doc = _LAB_DOCUMENT
+    for path in draw(st.lists(st.sampled_from(list(_slots(_LAB_DOCUMENT))), max_size=3)):
+        doc = _spoiled(draw, doc, path)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(doc=_shaped_documents())
+def test_any_document_shape_exits_with_a_documented_line(tmp_path_factory, doc):
+    workdir = tmp_path_factory.mktemp("shapes")
+    path = workdir / "shape.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    out = str(workdir / "out.csv")
+    commands = [["predict", "--json"], ["optimal-gain"], ["verify"],
+                ["sweep", "--r1", "0", "1", "--r2", "0", "1", "--steps", "2", "--out", out],
+                ["montecarlo", "--kind", "correlated", "--points", "2", "--n-per-point", "5",
+                 "--out", out]]
+    for command in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([*command, "--config", str(path)])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3, 4) and "Traceback" not in err, (command, err)
+        assert err == "" if code == EXIT_OK else err.startswith(_STDERR_PREFIXES[code]), err
 
 
 # -- parser ---------------------------------------------------------------------------

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 import yaml
 
+import cvswap.config
 from cvswap import ConfigError, ConfigFile, GainSpec, r_from_db, run_experiment
+from cvswap.cli import EXIT_CONFIG, main
 from conftest import make_lab_params
 
 
@@ -211,3 +217,63 @@ def test_huge_integer_is_config_error(lab_config_text, line):
     # past Python's 4300-digit limit the YAML reader itself rejects the integer
     with pytest.raises(ConfigError, match="config syntax error"):
         parse(lab_config_text.replace(line, f"{key}: {'1' * 5000}"))
+
+
+# -- documents nested too deep ----------------------------------------------------------
+
+# four ways to nest a document 100,000 levels deep; libyaml composes each level by C
+# recursion, which overflows an 8 MB stack near 25,000 levels
+_DEEP_DOCUMENTS = [
+    "squeezing: " + "[" * 100_000,
+    "squeezing: " + "{a: " * 100_000,
+    "- " * 100_000,
+    "? " * 100_000,
+]
+
+# runs ``predict --config PATH`` through main for each path in argv, in one interpreter
+_PREDICT_EACH = """\
+import contextlib, io, json, sys
+from cvswap.cli import main
+results = []
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append([main(["predict", "--config", path]), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_deeply_nested_documents_are_config_errors(tmp_path):
+    # in a child interpreter, so that a stack overflow fails this test, not the suite
+    paths = []
+    for i, text in enumerate(_DEEP_DOCUMENTS):
+        paths.append(str(tmp_path / f"deep{i}.yaml"))
+        (tmp_path / f"deep{i}.yaml").write_text(text + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cvswap.__file__)))
+    done = subprocess.run([sys.executable, "-c", _PREDICT_EACH, *paths],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", (done.returncode, done.stderr)
+    for code, err in json.loads(done.stdout):
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: config syntax error: ") and err.count("\n") == 1
+
+
+def test_pure_python_parser_nested_too_deep_is_config_error(tmp_path, monkeypatch, capsys):
+    # PyYAML without libyaml composes in Python, which runs into the recursion limit
+    class PureLoader(yaml.SafeLoader):
+        pass
+
+    monkeypatch.setattr(cvswap.config, "_Loader", PureLoader)
+    path = tmp_path / "deep.yaml"
+    path.write_text("squeezing: " + "[" * 600 + "]" * 600 + "\n")
+    assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config syntax error: ") and err.count("\n") == 1
+
+
+def test_nesting_indicators_up_to_the_bound_parse(lab_config_text):
+    bound = cvswap.config._MAX_INDICATORS
+    spare = bound - sum(map(lab_config_text.count, "[{-?:"))
+    assert parse(f"{lab_config_text}# {'-' * spare}\n").to_params() == make_lab_params(enl_db=11.3)
+    with pytest.raises(ConfigError, match=f"^config syntax error: over {bound} nesting"):
+        parse(f"{lab_config_text}# {'-' * (spare + 1)}\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -55,6 +56,20 @@ def test_params_validation():
         make_lab_params(mirror_R=-0.5)
     with pytest.raises(ValueError, match="enl_db"):
         make_lab_params(enl_db=0.0)
+    # the intensities are checked in order, before any square root
+    with pytest.raises(ValueError, match=r"^xi1_sq: must be in \[0, 1\], got -0.1$"):
+        make_lab_params(xi1_sq=-0.1, eta_sq=2)
+    with pytest.raises(TypeError):
+        make_lab_params(xi5_sq=0.5)
+
+
+def test_from_intensities_leaves_the_other_fields_to_the_record():
+    params = make_lab_params()  # no gain, channel_blocked or enl_db
+    defaults = {field.name: field.default for field in dataclasses.fields(ExperimentParams)}
+    for name in ("gain", "channel_blocked", "enl_db"):
+        assert getattr(params, name) == defaults[name]
+    assert params.gain == GainSpec("optimal")
+    assert (params.channel_blocked, params.enl_db) == (False, None)
 
 
 def test_batch_params_validation():
@@ -198,6 +213,23 @@ def test_batch_matches_each_draw_bit_for_bit():
         assert m.variance(h.victor_plus) == v_plus[k]
         assert m.variance(h.victor_minus) == v_minus[k]
         assert h.g_swap == handles.g_swap[k]
+
+
+def test_batch_draw_past_the_float_range_builds_like_its_point():
+    # 2 r overflows to inf for r = 1e308: silently in a one-point build's float
+    # arithmetic, and so in a batch's, under the suite's warnings-as-errors filter
+    lab = make_lab_params()
+    physics = [np.array([0.5, 1e308]), *(getattr(lab, name) * np.ones(2) for name in
+                                         ("r2", "xi1", "xi2", "xi3", "xi4", "eta", "mirror_R"))]
+    batch = ExperimentParams(*physics, gain=GainSpec("fixed", 0.0), channel_blocked=True)
+    model, _ = build_network(batch)
+    assert np.isinf(model.variances[:, 1]).any()
+    for k in range(2):
+        one = ExperimentParams(*(column[k].item() for column in physics),
+                               gain=GainSpec("fixed", 0.0), channel_blocked=True)
+        point, _ = build_network(one)
+        assert model.rows[..., k].tobytes() == point.rows.tobytes()
+        assert model.variances[..., k].tobytes() == point.variances.tobytes()
 
 
 def test_network_matches_formula_wide_squeezing():
