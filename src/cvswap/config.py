@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from . import analytics
-from .params import ExperimentParams, GainSpec
+from .params import ExperimentParams, GainSpec, shown
 
 __all__ = ["ConfigError", "ConfigFile"]
 
@@ -41,7 +41,7 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {shown(value)}")
     try:
         number = float(value)
     except OverflowError:
@@ -116,7 +116,7 @@ class ConfigFile:
 
         blocked = doc.get("blocked", False)
         if not isinstance(blocked, bool):
-            raise ConfigError(f"blocked: expected true/false, got {blocked!r}")
+            raise ConfigError(f"blocked: expected true/false, got {shown(blocked)}")
 
         try:
             spec = GainSpec(gain.get("mode"), value)

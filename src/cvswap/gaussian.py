@@ -62,7 +62,7 @@ def _exp(factor: float, x):
     float range is inf in a batch as in one point's float arithmetic, silently.
     """
     if not isinstance(x, np.ndarray):
-        return math.exp(factor * x)
+        return math.exp(factor * float(x))  # a numpy scalar would warn on overflow
     with np.errstate(over="ignore"):
         x = factor * x
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)

@@ -42,7 +42,10 @@ RBW_HZ = 10_000.0
 VBW_HZ = 30.0
 DEFAULT_N_PER_POINT = round(RBW_HZ / VBW_HZ)  # 333
 
-TRACE_KINDS = ("correlated", "blocked", "single_mode_a", "single_mode_dprime", "snl")
+# the build_network handle each network trace records; "blocked" cuts the channel first
+_TRACE_HANDLES = {"correlated": "victor_plus", "blocked": "victor_plus",
+                  "single_mode_a": "a", "single_mode_dprime": "dprime"}
+TRACE_KINDS = (*_TRACE_HANDLES, "snl")
 
 RNG_ALGORITHM = (
     "numpy default_rng(seed) (PCG64), one generator per trace, points drawn in order; "
@@ -110,14 +113,12 @@ def _trace_form(
 ) -> tuple[GaussianModel, np.ndarray]:
     if kind == "snl":
         return swap.snl_network()
-    if kind in ("single_mode_a", "single_mode_dprime"):
-        return swap.single_mode_form(params, kind.removeprefix("single_mode_"))
-    if kind not in ("correlated", "blocked"):
+    if kind not in _TRACE_HANDLES:
         raise ValueError(f"unknown trace kind {kind!r}: expected one of {TRACE_KINDS}")
     if kind == "blocked":
         params = replace(params, channel_blocked=True)
     model, handles = swap.build_network(params)
-    return model, handles.victor_plus
+    return model, getattr(handles, _TRACE_HANDLES[kind])
 
 
 def render_trace(

@@ -21,6 +21,11 @@ def every_draw(mask) -> bool:
     return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def shown(value) -> str:
+    """``repr`` of a scalar, the kind of a list or mapping: YAML aliases blow up its repr."""
+    return {list: "a list", dict: "a mapping"}.get(type(value)) or repr(value)
+
+
 @dataclass(frozen=True)
 class GainSpec:
     """Feedforward gain policy: the closed-form optimum, or a fixed g_swap.
@@ -33,7 +38,7 @@ class GainSpec:
 
     def __post_init__(self) -> None:
         if self.mode not in ("optimal", "fixed"):
-            raise ValueError(f"gain.mode: expected 'optimal' or 'fixed', got {self.mode!r}")
+            raise ValueError(f"gain.mode: expected 'optimal' or 'fixed', got {shown(self.mode)}")
         if self.mode == "fixed":
             if self.value is None:
                 raise ValueError("gain: fixed mode requires 'value'")

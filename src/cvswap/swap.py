@@ -8,9 +8,9 @@ from the Gaussian model, so this module is the independent oracle against
 which the closed form in :mod:`cvswap.analytics` is checked.
 
 Station map (mode labels): the pair (a, b) comes from the first squeezer and
-(c, d) from the second; b and c travel to the joint measurement, a and d stay
-with the end parties, and d picks up the feedforward displacement before both
-a and d are verified together.
+(c, d) from the second; b and c go to the joint measurement, a and d stay with
+the end parties, and d picks up the feedforward displacement (d') before both
+are verified. :class:`NetworkHandles` holds every read-out of this map.
 
 :func:`build_network` takes one parameter point or a batch of draws (see
 :class:`ExperimentParams`); a batch is one network over the trailing batch
@@ -45,14 +45,18 @@ _NETWORK_ROWS, _NETWORK_SOURCES = 10, 28
 class NetworkHandles:
     """Measurement forms and applied gain exposed by :func:`build_network`.
 
-    Compared by identity: the forms are arrays, which have no single truth
-    value for a field-by-field ``==``.
+    Every read-out of the station map is one of these forms: the joint
+    measurement's currents, the verification currents on a and d', and the
+    amplitude quadrature of a or d' alone. Compared by identity: the forms are
+    arrays, which have no single truth value for a field-by-field ``==``.
     """
 
     i_plus: np.ndarray        # amplitude-sum photocurrent of the joint measurement
     i_minus: np.ndarray       # phase-difference photocurrent
     victor_plus: np.ndarray   # verification amplitude-sum current
     victor_minus: np.ndarray  # verification phase-difference current
+    a: np.ndarray             # amplitude quadrature of the untouched beam a alone
+    dprime: np.ndarray        # amplitude quadrature of the displaced beam d' alone
     g_swap: float | np.ndarray  # one per draw on a batch
 
 
@@ -133,14 +137,16 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     m = net.freeze()
 
     k = 1.0 / _SQRT2
-    handles = NetworkHandles(
+    a, dprime = m.x_form("a"), m.x_form("d")
+    return m, NetworkHandles(
         i_plus=i_plus,
         i_minus=i_minus,
-        victor_plus=(m.x_form("a") + m.x_form("d")) * k,
+        victor_plus=(a + dprime) * k,
         victor_minus=(m.y_form("a") - m.y_form("d")) * k,
+        a=a,
+        dprime=dprime,
         g_swap=g_swap,
     )
-    return m, handles
 
 
 def verification_variances(params: ExperimentParams):
@@ -172,23 +178,11 @@ def run_experiment(params: ExperimentParams) -> VarianceReport:
     )
 
 
-_SINGLE_MODE_LABELS = {"a": "a", "dprime": "d"}
-
-
-def single_mode_form(params: ExperimentParams, which: str) -> tuple[GaussianModel, np.ndarray]:
-    """The network and the amplitude-quadrature form of one verified beam alone.
-
-    ``which`` is "a" (the untouched beam) or "dprime" (the displaced beam,
-    including whatever feedforward the params apply).
-    """
-    if which not in _SINGLE_MODE_LABELS:
-        raise ValueError(f"unknown mode {which!r}: expected 'a' or 'dprime'")
-    model, _ = build_network(params)
-    return model, model.x_form(_SINGLE_MODE_LABELS[which])
-
-
 def single_mode_noise(params: ExperimentParams, which: str) -> float:
-    """Amplitude-quadrature noise, in SNL units, of one verified beam alone (see
-    :func:`single_mode_form`)."""
-    model, form = single_mode_form(params, which)
-    return model.variance(form) / snl_reference()
+    """Amplitude-quadrature noise, in SNL units, of the verified beam named by
+    ``which``: the :class:`NetworkHandles` field "a" (the untouched beam) or
+    "dprime" (the displaced beam, with whatever feedforward the params apply)."""
+    if which not in ("a", "dprime"):
+        raise ValueError(f"unknown mode {which!r}: expected 'a' or 'dprime'")
+    model, handles = build_network(params)
+    return model.variance(getattr(handles, which)) / snl_reference()

@@ -277,3 +277,34 @@ def test_nesting_indicators_up_to_the_bound_parse(lab_config_text):
     assert parse(f"{lab_config_text}# {'-' * spare}\n").to_params() == make_lab_params(enl_db=11.3)
     with pytest.raises(ConfigError, match=f"^config syntax error: over {bound} nesting"):
         parse(f"{lab_config_text}# {'-' * (spare + 1)}\n")
+
+
+def _aliased_list(levels: int) -> str:
+    """A flow list of ``levels`` anchored lists of nine, each level aliasing the one
+    before: a few hundred bytes whose repr has 9 ** levels leaves."""
+    items = ["&l0 [" + ", ".join(["x"] * 9) + "]"]
+    items += [f"&l{i} [" + ", ".join([f"*l{i - 1}"] * 9) + "]" for i in range(1, levels)]
+    return "[" + ", ".join(items) + "]"
+
+
+@pytest.mark.parametrize("levels", [6, 9])
+@pytest.mark.parametrize(
+    ("slot", "value", "message"),
+    [("r1: 0.564", "r1: {}", "squeezing.r1: expected a number, got a list"),
+     ("mode: optimal", "mode: {}", "gain.mode: expected 'optimal' or 'fixed', got a list"),
+     ("enl_db: 11.3", "enl_db: 11.3\nblocked: {}", "blocked: expected true/false, got a list"),
+     ("mirror_R: 0.98", "mirror_R: {{deep: {}}}", "mirror_R: expected a number, got a mapping")],
+    ids=["squeezing.r1", "gain.mode", "blocked", "mapping"],
+)
+def test_aliased_values_are_named_by_kind(lab_config_text, tmp_path, capsys,
+                                          levels, slot, value, message):
+    # the repr of the six-level value is 3.1 MB; nine levels would be about 2.3 GB
+    text = lab_config_text.replace(slot, value.format(_aliased_list(levels)))
+    assert text != lab_config_text and len(text) < 1000
+    with pytest.raises(ConfigError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+    path = tmp_path / "aliased.yaml"
+    path.write_text(text)
+    assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"

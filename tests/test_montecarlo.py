@@ -18,11 +18,13 @@ from cvswap import (
     build_network,
     estimate_variance,
     render_trace,
+    run_experiment,
     snl_reference,
     write_trace_csv,
 )
 from cvswap.montecarlo import (DEFAULT_N_PER_POINT, RNG_ALGORITHM, TRACE_KINDS, TraceSeries,
                                _Dumper, _sidecar_events, _trace_form)
+from cvswap.swap import single_mode_noise
 from conftest import make_lab_params
 
 V_LAB = 0.718796855333
@@ -81,6 +83,24 @@ def test_estimate_matches_network_variance_per_kind(lab_params, kind, seed):
     model, form = _trace_form(lab_params, kind)
     est, se = estimate_variance(model, form, 200_000, seed=seed)
     assert abs(est - model.variance(form)) <= 4 * se
+
+
+# the public read-out each trace kind samples, as benchmarks/workloads.py checks it
+_READ_OUTS = {
+    "correlated": lambda p: run_experiment(p).v_plus,
+    "blocked": lambda p: run_experiment(dataclasses.replace(p, channel_blocked=True)).v_plus,
+    "single_mode_a": lambda p: single_mode_noise(p, "a"),
+    "single_mode_dprime": lambda p: single_mode_noise(p, "dprime"),
+    "snl": lambda p: 1.0,
+}
+
+
+@pytest.mark.parametrize("gain", [GainSpec("optimal"), GainSpec("fixed", 1.6)])
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_trace_form_is_the_public_read_out(kind, gain):
+    params = make_lab_params(gain=gain)
+    model, form = _trace_form(params, kind)
+    assert model.variance(form) / snl_reference() == _READ_OUTS[kind](params)
 
 
 # -- traces ------------------------------------------------------------------------

@@ -232,6 +232,17 @@ def test_batch_draw_past_the_float_range_builds_like_its_point():
         assert model.variances[..., k].tobytes() == point.variances.tobytes()
 
 
+def test_numpy_scalar_past_the_float_range_builds_like_a_float():
+    # a library caller's np.float64 r gives a Python float's silent inf, under the
+    # suite's warnings-as-errors filter
+    as_float, as_numpy = (build_network(make_lab_params(
+        r1=r1, gain=GainSpec("fixed", 0.0), channel_blocked=True))[0]
+        for r1 in (1e308, np.float64(1e308)))
+    assert np.isinf(as_float.variances).any()
+    assert as_numpy.rows.tobytes() == as_float.rows.tobytes()
+    assert as_numpy.variances.tobytes() == as_float.variances.tobytes()
+
+
 def test_network_matches_formula_wide_squeezing():
     # ROADMAP item 4: r1, r2 up to 40, verify's ranges elsewhere, the batched oracle
     rng = np.random.default_rng(43)
