@@ -1,10 +1,14 @@
 """Command-line front end: predict, sweep, verify, montecarlo, optimal-gain.
 
-Exit codes: 0 success; 2 usage/config parse errors, including a count too
-large for any array on this platform; 3 physics rejections (valid syntax,
-unbuildable experiment or a result outside floating-point range); 4
-verification failure (oracle and closed form disagree); 1 anything else
-(e.g. unwritable output, or out of memory).
+Exit codes: 0 success; 2 a bad command line or config file; 3 physics
+rejections (valid syntax, unbuildable experiment or a result outside
+floating-point range); 4 verification failure (oracle and closed form
+disagree); 1 anything else (e.g. unwritable output, or out of memory).
+
+Each flag's rule (required, a number, its range, such as a count too large
+for any array on this platform) is declared on the flag, so argparse rejects
+a bad command line with its usage and ``error: argument --flag: ...``; a
+``config error:`` line is always about the config file.
 """
 
 from __future__ import annotations
@@ -55,18 +59,18 @@ per beam either as the parameter r or as a dB depth below shot noise
 """
 
 
-def _require_config(args: argparse.Namespace) -> ConfigFile:
-    if args.config is None:
-        raise ConfigError("this command requires --config PATH")
-    return ConfigFile.load(args.config)
-
-
-def _check_count(flag: str, value: int, low: int, high: float, limit: str) -> None:
-    """A usage error unless ``low <= value <= high``; ``limit`` says where ``high`` comes from."""
-    if value < low:
-        raise ConfigError(f"{flag} must be >= {low}, got {value}")
-    if value > high:
-        raise ConfigError(f"{flag} must be <= {high} ({limit})")
+def _bounded(kind: type, low: float, high: float = math.inf, limit: str = ""):
+    """An argparse ``type=``: a ``kind`` in ``[low, high]``; ``limit`` says where ``high``
+    comes from. A text ``kind`` cannot read is argparse's "invalid <kind> value"."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:  # nan too
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if not value <= high:
+            raise argparse.ArgumentTypeError(f"must be <= {high} ({limit})")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _fmt_num(x: float, decimals: int, sign: str = "") -> str:
@@ -112,7 +116,7 @@ def _fmt_depth(depth: float | None) -> str:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    params = _require_config(args).to_params()
+    params = ConfigFile.load(args.config).to_params()
     payload = _predict_payload(params)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -141,7 +145,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_optimal_gain(args: argparse.Namespace) -> int:
-    params = _require_config(args).to_params()
+    params = ConfigFile.load(args.config).to_params()
     g_swap = analytics.optimal_gain(params)
     payload = {"g_swap_opt": g_swap, **_electronic_gain(g_swap, params)}
     if args.json:
@@ -155,15 +159,7 @@ def cmd_optimal_gain(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    params = _require_config(args).to_params()
-    if args.out is None:
-        raise ConfigError("sweep requires --out PATH for the CSV grid")
-    _check_count("--steps", args.steps, 2, math.isqrt(MAX_ARRAY_FLOATS),
-                 "a grid of steps x steps floats must fit one array")
-    for flag, bounds in (("--r1", args.r1), ("--r2", args.r2)):
-        if not all(math.isfinite(b) and b >= 0 for b in bounds):
-            raise ConfigError(f"{flag} bounds must be finite and >= 0, "
-                              f"got {bounds[0]} {bounds[1]}")
+    params = ConfigFile.load(args.config).to_params()
     r1s = np.linspace(args.r1[0], args.r1[1], args.steps)
     r2s = np.linspace(args.r2[0], args.r2[1], args.steps)
     values = analytics.sweep_surface(params, r1s, r2s)
@@ -194,10 +190,8 @@ def _drawn_params(columns) -> ExperimentParams:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.random < 0:
-        raise ConfigError(f"--random must be >= 0, got {args.random}")
     if args.config is None and not args.random:
-        raise ConfigError("verify needs --config and/or --random N")
+        args.usage("needs --config and/or --random N")
 
     config = None if args.config is None else ConfigFile.load(args.config).to_params()
     rng = np.random.default_rng(args.seed)
@@ -241,14 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    params = _require_config(args).to_params()
-    if args.out is None:
-        raise ConfigError("montecarlo requires --out PATH for the trace CSV")
-    _check_count("--points", args.points, 1, MAX_ARRAY_FLOATS,
-                 "one float per point must fit one array")
-    if args.n_per_point is not None:
-        _check_count("--n-per-point", args.n_per_point, 1, sys.float_info.max,
-                     "the largest float")
+    params = ConfigFile.load(args.config).to_params()
     trace = montecarlo.render_trace(
         params, args.kind, args.points, args.seed, args.n_per_point
     )
@@ -265,7 +252,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 _SHARED_FLAGS = {
     "--config": dict(metavar="PATH", help="experiment config (YAML)"),
     "--out": dict(metavar="PATH", help="output file"),
-    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--seed": dict(type=_bounded(int, 0), default=0, help="RNG seed (default 0)"),
     "--json": dict(action="store_true", help="machine-readable output"),
 }
 
@@ -282,11 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, flags: tuple[str, ...], help: str) -> argparse.ArgumentParser:
+    def command(name: str, func, flags: tuple[str, ...], help: str,
+                required: tuple[str, ...] = ("--config",)) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage=p.error)  # for a rule argparse cannot declare
         for flag in flags:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
+            p.add_argument(flag, **_SHARED_FLAGS[flag], required=flag in required)
         return p
 
     command("predict", cmd_predict, ("--config", "--out", "--json"),
@@ -295,21 +283,25 @@ def build_parser() -> argparse.ArgumentParser:
             "closed-form optimal normalized gain for a config")
 
     p = command("sweep", cmd_sweep, ("--config", "--out"),
-                "CSV grid of optimal-gain variance over squeezing parameters")
-    p.add_argument("--r1", nargs=2, type=float, metavar=("MIN", "MAX"), required=True)
-    p.add_argument("--r2", nargs=2, type=float, metavar=("MIN", "MAX"), required=True)
-    p.add_argument("--steps", type=int, required=True, help="points per axis (>= 2)")
+                "CSV grid of optimal-gain variance over squeezing parameters",
+                required=("--config", "--out"))
+    bound = _bounded(float, 0, sys.float_info.max, "the largest float")
+    p.add_argument("--r1", nargs=2, type=bound, metavar=("MIN", "MAX"), required=True)
+    p.add_argument("--r2", nargs=2, type=bound, metavar=("MIN", "MAX"), required=True)
+    p.add_argument("--steps", required=True, help="points per axis (>= 2)", type=_bounded(
+        int, 2, math.isqrt(MAX_ARRAY_FLOATS), "a grid of steps x steps floats must fit one array"))
 
     p = command("verify", cmd_verify, ("--config", "--seed"),
-                "check the network oracle against the closed form")
-    p.add_argument("--random", type=int, metavar="N", default=0,
+                "check the network oracle against the closed form", required=())
+    p.add_argument("--random", type=_bounded(int, 0), metavar="N", default=0,
                    help="additionally check N random parameter draws")
 
     p = command("montecarlo", cmd_montecarlo, ("--config", "--out", "--seed"),
-                "render a sampled noise trace to CSV")
+                "render a sampled noise trace to CSV", required=("--config", "--out"))
     p.add_argument("--kind", choices=montecarlo.TRACE_KINDS, required=True)
-    p.add_argument("--points", type=int, default=100, help="displayed points (default 100)")
-    p.add_argument("--n-per-point", type=int, default=None,
+    p.add_argument("--points", default=100, help="displayed points (default 100)", type=_bounded(
+        int, 1, MAX_ARRAY_FLOATS, "one float per point must fit one array"))
+    p.add_argument("--n-per-point", type=_bounded(int, 1, sys.float_info.max, "the largest float"),
                    help=f"samples averaged per point (default {montecarlo.DEFAULT_N_PER_POINT})")
     return parser
 
@@ -317,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -128,23 +128,28 @@ class ConfigFile:
         return cls(params)
 
     @classmethod
-    def loads(cls, text: str) -> ConfigFile:
+    def loads(cls, text: str, path: str | Path = "<unicode string>") -> ConfigFile:
+        """The config in ``text``; a syntax error is one line naming ``path``."""
         if len(text) > _MAX_INDICATORS and sum(map(text.count, "[{-?:")) > _MAX_INDICATORS:
             raise ConfigError(f"config syntax error: over {_MAX_INDICATORS} nesting "
                               "indicators ([ { - ? :), too deep to parse")
         try:  # ValueError: an int of > 4300 digits; RecursionError: deep pure-Python PyYAML
             doc = yaml.load(text, Loader=_Loader)
         except (yaml.YAMLError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"config syntax error: {exc}") from exc
+            # one line naming the file: the problem at its mark, or a ReaderError's lines joined
+            mark = getattr(exc, "problem_mark", None)
+            detail = (f'{exc.problem} in "{path}", line {mark.line + 1}, column {mark.column + 1}'
+                      if mark else str(exc).replace('\n  in "<unicode string>"', f' in "{path}"'))
+            raise ConfigError(f"config syntax error: {detail}") from exc
         return cls.from_dict(doc)
 
     @classmethod
     def load(cls, path: str | Path) -> ConfigFile:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.loads(text)
+        return cls.loads(text, path)
 
     def to_params(self) -> ExperimentParams:
         return self.params

@@ -40,6 +40,19 @@ def run(argv):
     return main(argv)
 
 
+def _is_usage_error(argv, capsys, message):
+    """``argv`` exits 2 through argparse: its usage, then one error line holding ``message``;
+    nothing reads as a config error. Returns the captured output."""
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("usage: cvswap ") and message in err.splitlines()[-1], err
+    assert "config error:" not in err and "Traceback" not in err
+    return captured
+
+
 # -- predict ---------------------------------------------------------------------
 
 
@@ -148,8 +161,7 @@ def test_predict_writes_csv(config_path, tmp_path, capsys):
 
 
 def test_predict_requires_config(capsys):
-    assert run(["predict"]) == EXIT_CONFIG
-    assert "requires --config" in capsys.readouterr().err
+    _is_usage_error(["predict"], capsys, "error: the following arguments are required: --config")
 
 
 def test_predict_missing_file(capsys):
@@ -331,15 +343,17 @@ def test_sweep_unwritable_output_path(config_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_sweep_requires_out_and_steps(config_path, capsys):
-    assert run([
+def test_sweep_requires_out_and_steps(config_path, tmp_path, capsys):
+    _is_usage_error([
         "sweep", "--config", config_path,
         "--r1", "0", "1", "--r2", "0", "1", "--steps", "3",
-    ]) == EXIT_CONFIG
-    assert run([
+    ], capsys, "error: the following arguments are required: --out")
+    out = tmp_path / "x.csv"
+    _is_usage_error([
         "sweep", "--config", config_path,
-        "--r1", "0", "1", "--r2", "0", "1", "--steps", "1", "--out", "/tmp/x.csv",
-    ]) == EXIT_CONFIG
+        "--r1", "0", "1", "--r2", "0", "1", "--steps", "1", "--out", str(out),
+    ], capsys, "error: argument --steps: must be >= 2, got 1")
+    assert not out.exists()
 
 
 def test_sweep_csv_format_and_values(config_path, tmp_path):
@@ -418,12 +432,13 @@ def test_sweep_rejects_like_scalar_path(tmp_path, lab_config_text, capsys, edit,
 
 @pytest.mark.parametrize("bound", ["nan", "inf"])
 def test_sweep_non_finite_axis_is_config_error(config_path, tmp_path, capsys, bound):
+    message = {"nan": "must be >= 0, got nan",
+               "inf": f"must be <= {sys.float_info.max} (the largest float)"}[bound]
     out = tmp_path / "grid.csv"
-    assert run([
+    _is_usage_error([
         "sweep", "--config", config_path, "--r1", "0", "1", "--r2", "0", bound,
         "--steps", "3", "--out", str(out),
-    ]) == EXIT_CONFIG
-    assert "config error: --r2 bounds must be finite" in capsys.readouterr().err
+    ], capsys, f"error: argument --r2: {message}")
     assert not out.exists()
 
 
@@ -431,11 +446,10 @@ def test_sweep_non_finite_axis_is_config_error(config_path, tmp_path, capsys, bo
 def test_sweep_negative_axis_is_config_error(config_path, tmp_path, capsys, flag):
     out = tmp_path / "grid.csv"
     axes = {"--r1": ["0", "1"], "--r2": ["0", "1"]} | {flag: ["-1", "1"]}
-    assert run([
+    _is_usage_error([
         "sweep", "--config", config_path, "--r1", *axes["--r1"], "--r2", *axes["--r2"],
         "--steps", "3", "--out", str(out),
-    ]) == EXIT_CONFIG
-    assert f"config error: {flag} bounds must be finite and >= 0" in capsys.readouterr().err
+    ], capsys, f"error: argument {flag}: must be >= 0, got -1.0")
     assert not out.exists()
 
 
@@ -455,7 +469,8 @@ def test_verify_random_draws(capsys):
 
 
 def test_verify_requires_some_input(capsys):
-    assert run(["verify"]) == EXIT_CONFIG
+    for argv in (["verify"], ["verify", "--random", "0", "--seed", "3"]):
+        _is_usage_error(argv, capsys, "error: needs --config and/or --random N")
 
 
 def test_verify_detects_corrupted_formula(config_path, capsys, monkeypatch):
@@ -643,20 +658,19 @@ def test_verify_rejected_config_keeps_exit_and_message(tmp_path, python_warnings
 
 
 def test_verify_negative_random_with_config_is_config_error(config_path, capsys):
-    assert run(["verify", "--config", config_path, "--random", "-5"]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "config error: --random must be >= 0" in captured.err
+    captured = _is_usage_error(["verify", "--config", config_path, "--random", "-5"], capsys,
+                               "error: argument --random: must be >= 0, got -5")
     assert captured.out == ""
 
 
 def test_verify_negative_random_alone_is_config_error(capsys):
-    assert run(["verify", "--random", "-5"]) == EXIT_CONFIG
-    assert "config error: --random must be >= 0" in capsys.readouterr().err
+    _is_usage_error(["verify", "--random", "-5"], capsys,
+                    "error: argument --random: must be >= 0, got -5")
 
 
 def test_verify_negative_seed_is_config_error(capsys):
-    assert run(["verify", "--random", "3", "--seed", "-1"]) == EXIT_CONFIG
-    assert "config error: --seed must be >= 0" in capsys.readouterr().err
+    _is_usage_error(["verify", "--random", "3", "--seed", "-1"], capsys,
+                    "error: argument --seed: must be >= 0, got -1")
 
 
 # -- montecarlo ----------------------------------------------------------------------
@@ -685,28 +699,27 @@ def test_montecarlo_unknown_kind_is_usage_error(config_path, tmp_path):
     assert excinfo.value.code == 2
 
 
-def test_montecarlo_requires_out(config_path):
-    assert run(["montecarlo", "--config", config_path, "--kind", "snl"]) == EXIT_CONFIG
+def test_montecarlo_requires_out(config_path, capsys):
+    _is_usage_error(["montecarlo", "--config", config_path, "--kind", "snl"], capsys,
+                    "error: the following arguments are required: --out")
 
 
 @pytest.mark.parametrize("flag", ["--points", "--n-per-point"])
 def test_montecarlo_zero_count_is_config_error(config_path, tmp_path, capsys, flag):
     out = tmp_path / "t.csv"
-    assert run([
+    _is_usage_error([
         "montecarlo", "--config", config_path, "--kind", "snl",
         flag, "0", "--out", str(out),
-    ]) == EXIT_CONFIG
-    assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
+    ], capsys, f"error: argument {flag}: must be >= 1, got 0")
     assert not out.exists()
 
 
 def test_montecarlo_negative_seed_is_config_error(config_path, tmp_path, capsys):
     out = tmp_path / "t.csv"
-    assert run([
+    _is_usage_error([
         "montecarlo", "--config", config_path, "--kind", "snl",
         "--points", "2", "--seed", "-1", "--out", str(out),
-    ]) == EXIT_CONFIG
-    assert "config error: --seed must be >= 0" in capsys.readouterr().err
+    ], capsys, "error: argument --seed: must be >= 0, got -1")
     assert not out.exists()
 
 
@@ -729,11 +742,10 @@ def test_montecarlo_huge_averaging_depth_needs_no_samples(config_path, tmp_path)
 ])
 def test_count_past_the_platform_limit_is_config_error(config_path, tmp_path, capsys,
                                                        argv, flag):
-    # rejected before anything is allocated or written
+    # rejected by argparse, before anything is allocated or written
     out = tmp_path / "out.csv"
-    assert run([*argv, "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {flag} must be <= ") and err.count("\n") == 1
+    _is_usage_error([*argv, "--config", config_path, "--out", str(out)], capsys,
+                    f"error: argument {flag}: must be <= ")
     assert not out.exists()
 
 
@@ -962,6 +974,64 @@ def test_subcommand_rejects_flags_it_does_not_read(config_path, tmp_path, comman
         run([*argv, flag, *extra])
     assert excinfo.value.code == 2
     assert not (tmp_path / "ignored").exists()
+
+
+# a valid command line per subcommand; OUT stands for the output path
+_VALID_ARGV = {
+    "predict": ["predict"],
+    "optimal-gain": ["optimal-gain"],
+    "sweep": ["sweep", "--r1", "0", "1", "--r2", "0", "1", "--steps", "3", "--out", "OUT"],
+    "verify": ["verify", "--random", "3", "--seed", "0"],
+    "montecarlo": ["montecarlo", "--kind", "snl", "--points", "2", "--n-per-point", "5",
+                   "--seed", "0", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), [
+    # each flag's rule: a non-number, then a value outside its range
+    ("sweep", "--steps", "x"), ("sweep", "--steps", "1"),
+    ("sweep", "--r1", "x"), ("sweep", "--r1", "-1"),
+    ("sweep", "--r2", "x"), ("sweep", "--r2", "inf"),
+    ("verify", "--random", "x"), ("verify", "--random", "-1"),
+    ("verify", "--seed", "x"), ("verify", "--seed", "-1"),
+    ("montecarlo", "--points", "x"), ("montecarlo", "--points", "0"),
+    ("montecarlo", "--n-per-point", "1e3"),
+    pytest.param("montecarlo", "--n-per-point", str(10**400), id="montecarlo---n-per-point-10**400"),
+    ("montecarlo", "--seed", "x"), ("montecarlo", "--seed", "-1"),
+    # a required flag left out
+    ("predict", "--config", None), ("optimal-gain", "--config", None),
+    ("sweep", "--config", None), ("sweep", "--out", None),
+    ("montecarlo", "--config", None), ("montecarlo", "--out", None),
+])
+def test_every_flag_rule_is_a_usage_error(config_path, tmp_path, capsys, command, flag, value):
+    def valid(out):
+        return [str(out) if arg == "OUT" else arg
+                for arg in [*_VALID_ARGV[command], "--config", config_path]]
+
+    assert run(valid(tmp_path / "good.csv")) == EXIT_OK
+    capsys.readouterr()
+    (tmp_path / "bad").mkdir()
+    argv = valid(tmp_path / "bad" / "out.csv")
+    at = argv.index(flag)
+    if value is None:
+        del argv[at:at + 2]
+        message = f"error: the following arguments are required: {flag}"
+    else:
+        argv[at + 1] = value
+        message = f"error: argument {flag}: "
+    _is_usage_error(argv, capsys, message)
+    assert not any((tmp_path / "bad").iterdir())
+
+
+@pytest.mark.parametrize("command", ["predict", "optimal-gain", "sweep", "montecarlo"])
+def test_help_shows_required_paths_without_brackets(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        run([command, "--help"])
+    assert excinfo.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert " --config PATH" in usage and "[--config PATH]" not in usage
+    if command in ("sweep", "montecarlo"):
+        assert " --out PATH" in usage and "[--out PATH]" not in usage
 
 
 def test_parser_is_built_once_and_calls_leak_nothing(config_path, capsys):

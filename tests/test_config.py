@@ -128,6 +128,41 @@ def test_syntax_error_reported_with_location():
         parse("squeezing:\n  r1: 0.5: 0.6\n")
 
 
+class _PureLoader(yaml.SafeLoader):
+    """PyYAML's pure-Python loader, whose marks carry source snippets."""
+
+
+@pytest.mark.parametrize("loader", ["default", "pure"])
+@pytest.mark.parametrize(("text", "where"), [
+    ("squeezing: {? [a, b] : 1}\n", "line 1, column 15"),  # an unhashable key
+    ("squeezing:\n  r1: 0.5\n r2: 0.6\n", "line 3, column 2"),  # r2 mis-indented
+    ("squeezing: \x07\n", "position 11"),  # a control character
+], ids=["unhashable", "indent", "control"])
+def test_syntax_error_is_one_line_naming_the_file(tmp_path, monkeypatch, capsys, loader,
+                                                  text, where):
+    if loader == "pure":
+        monkeypatch.setattr(cvswap.config, "_Loader", _PureLoader)
+    path = tmp_path / "broken.yaml"
+    path.write_text(text)
+    assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config syntax error: ") and err.count("\n") == 1
+    assert err.endswith(f' in "{path}", {where}\n'), err
+
+
+@pytest.mark.parametrize(("encoding", "code"),
+                         [("utf-8", 0), ("latin-1", EXIT_CONFIG), ("utf-16", EXIT_CONFIG)])
+def test_config_is_read_as_utf8(lab_config_text, tmp_path, capsys, encoding, code):
+    # UTF-16 with a byte-order mark is legal YAML, but config files are UTF-8
+    path = tmp_path / "accent.yaml"
+    path.write_bytes(f"# café\n{lab_config_text}".encode(encoding))
+    assert main(["predict", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"config error: cannot read config {path}: 'utf-8' codec "
+                              "can't decode byte") and err.count("\n") == 1, err
+
+
 def test_parser_runs_on_libyaml_when_pyyaml_has_it():
     from cvswap.config import _Loader
 
