@@ -34,9 +34,23 @@ class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     (1.1 reads ``1e-3`` as a string)."""
 
 
-# on this subclass only: PyYAML's own loaders keep their resolvers
+# on this subclass only: PyYAML's own loaders keep their resolvers and constructors
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+0123456789."))
+
+
+def _construct_marked(loader, node):
+    """An int or a date as PyYAML builds it, but a ValueError (past Python's 4300-digit
+    limit, past the calendar) is a ConstructorError at the node, without int()'s advice."""
+    try:
+        return yaml.constructor.SafeConstructor.yaml_constructors[node.tag](loader, node)
+    except ValueError as exc:
+        problem = str(exc).partition(";")[0]  # drops "; use sys.set_int_max_str_digits() ..."
+        raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from exc
+
+
+for _tag in ("int", "timestamp"):
+    _Loader.add_constructor("tag:yaml.org,2002:" + _tag, _construct_marked)
 
 
 def _number(value, path: str) -> float:
@@ -132,10 +146,10 @@ class ConfigFile:
         """The config in ``text``; a syntax error is one line naming ``path``."""
         if len(text) > _MAX_INDICATORS and sum(map(text.count, "[{-?:")) > _MAX_INDICATORS:
             raise ConfigError(f"config syntax error: over {_MAX_INDICATORS} nesting "
-                              "indicators ([ { - ? :), too deep to parse")
-        try:  # ValueError: an int of > 4300 digits; RecursionError: deep pure-Python PyYAML
+                              f'indicators ([ {{ - ? :), too deep to parse in "{path}"')
+        try:  # RecursionError: a deep document on pure-Python PyYAML
             doc = yaml.load(text, Loader=_Loader)
-        except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             # one line naming the file: the problem at its mark, or a ReaderError's lines joined
             mark = getattr(exc, "problem_mark", None)
             detail = (f'{exc.problem} in "{path}", line {mark.line + 1}, column {mark.column + 1}'

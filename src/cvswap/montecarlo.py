@@ -19,14 +19,16 @@ differ from those written by 0.4.0, which drew every sample.
 
 Each file of a trace is written with one ``write``. The CSV rows are formatted
 directly, with the bytes ``csv.writer`` gives for ``[index, repr(dB)]``. The
-sidecar is a YAML event stream built from the metadata and fed to PyYAML's
-emitter (libyaml where PyYAML was built with it), with the bytes of
-``yaml.safe_dump(metadata, sort_keys=True)`` but no representer node tree.
+sidecar has the bytes of ``yaml.safe_dump(metadata, sort_keys=True)``: PyYAML's
+emitter (libyaml where built with it) writes each layout of keys and string
+leaves once per process, and each sidecar fills in its numbers, bools and nulls.
 Both files keep the bytes of 0.5.0's first writer, which called those two.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -164,56 +166,71 @@ _TAG = "tag:yaml.org,2002:"
 _RESOLVER = yaml.resolver.Resolver()
 
 
-def _scalar_event(value) -> yaml.ScalarEvent:
-    """``value`` as ``SafeRepresenter`` and the serializer would emit it."""
+def _plain_text(value) -> str:
+    """A None, bool, int or float leaf as ``safe_dump`` writes it: one plain token."""
     kind = type(value)
-    if kind is str:
-        # plain only where the resolver would not read the text back as another type
-        plain = _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _TAG + "str"
-        return yaml.ScalarEvent(None, _TAG + "str", (plain, True), value)
-    if value is None:
-        tag, text = "null", "null"
-    elif kind is bool:
-        tag, text = "bool", "true" if value else "false"
-    elif kind is int:
-        tag, text = "int", str(value)
-    elif kind is float:
-        tag, text = "float", repr(value)
+    if kind is float:
         if not math.isfinite(value):
-            text = ".nan" if value != value else "-.inf" if value < 0 else ".inf"
-        elif "." not in text and "e" in text:
-            text = text.replace("e", ".0e", 1)  # 1e16 is no YAML float, 1.0e16 is
-    else:
-        raise yaml.representer.RepresenterError(f"cannot represent an object: {value!r}")
-    return yaml.ScalarEvent(None, _TAG + tag, (True, False), text)
+            return ".nan" if value != value else "-.inf" if value < 0 else ".inf"
+        text = repr(value)  # 1e16 is no YAML float, 1.0e16 is
+        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+    if kind is int:
+        return str(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise yaml.representer.RepresenterError(f"cannot represent an object: {value!r}")
 
 
-def _mapping_events(mapping: dict, events: list) -> None:
-    """Append the events of a block mapping, keys sorted, to ``events``."""
-    events.append(yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False))
+def _shape(mapping: dict, texts: list) -> tuple:
+    """The layout of a tree of dicts with str keys and None, bool, int, float or str leaves,
+    no dict reached twice: each dict's ``(key, value)`` pairs, keys sorted, a value a nested
+    layout, a string leaf or None, a slot whose leaf's text is appended to ``texts``."""
+    shape = []
     for key, value in sorted(mapping.items()):
-        events.append(_scalar_event(key))
+        if type(key) is not str:  # 1, 1.0 and True are one dict key but three YAML keys
+            raise yaml.representer.RepresenterError(f"cannot represent a key: {key!r}")
         if type(value) is dict:
-            _mapping_events(value, events)
-        else:
-            events.append(_scalar_event(value))
+            value = _shape(value, texts)
+        elif type(value) is not str:
+            texts.append(_plain_text(value))
+            value = None
+        shape.append((key, value))
+    return tuple(shape)
+
+
+def _layout_events(shape: tuple, slot: yaml.ScalarEvent, events: list) -> None:
+    """Append the events of a block mapping of layout ``shape`` to ``events``."""
+    events.append(yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False))
+    for item in itertools.chain.from_iterable(shape):
+        if type(item) is tuple:
+            _layout_events(item, slot, events)
+        elif item is None:
+            events.append(slot)
+        else:  # a key or string leaf: plain unless the resolver would read another type
+            plain = _RESOLVER.resolve(yaml.ScalarNode, item, (True, False)) == _TAG + "str"
+            events.append(yaml.ScalarEvent(None, _TAG + "str", (plain, True), item))
     events.append(yaml.MappingEndEvent())
 
 
-def _sidecar_events(metadata: dict) -> list:
-    """The YAML events of ``yaml.safe_dump(metadata, sort_keys=True)``.
-
-    ``metadata`` is a tree of dicts with str keys and None, bool, int, float or
-    str leaves, no dict reached twice (``safe_dump`` would anchor it).
-    """
-    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
-    _mapping_events(metadata, events)
-    return events + [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
+@functools.lru_cache(maxsize=32)
+def _layout(shape: tuple) -> str:
+    """The sidecar text of all metadata of layout ``shape``, ``%s`` in each slot: a slot's
+    one plain token ends its line and sets no other line's layout, so the layout is emitted
+    once, with a marker token in each slot that no key or string leaf writes."""
+    for attempt in itertools.count():
+        slot = yaml.ScalarEvent(None, None, (True, False), f"slot{attempt}")
+        events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
+        _layout_events(shape, slot, events)
+        text = yaml.emit(events + [yaml.DocumentEndEvent(), yaml.StreamEndEvent()], Dumper=_Dumper)
+        if text.count(slot.value) == events.count(slot):
+            return text.replace("%", "%%").replace(slot.value, "%s")
 
 
 def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
     """Write the trace as CSV plus a YAML metadata sidecar; returns the sidecar path."""
     path = Path(path)
+    texts: list[str] = []  # metadata outside the tree raises before either file is opened
+    layout = _layout(_shape(trace.metadata, texts))
     # csv.writer's bytes for [index, repr(dB)] rows: no cell needs quoting
     rows = [f"{index},{10.0 * math.log10(power)!r}\r\n"
             for index, power in enumerate(trace.powers)]
@@ -221,5 +238,5 @@ def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
         fh.write("point_index,db_value\r\n" + "".join(rows))
     sidecar = path.with_suffix(".meta.yaml")
     with open(sidecar, "w") as fh:
-        fh.write(yaml.emit(_sidecar_events(trace.metadata), Dumper=_Dumper))
+        fh.write(layout % tuple(texts))
     return sidecar

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -249,9 +250,19 @@ def test_huge_integer_is_config_error(lab_config_text, line):
     key = line.split(":")[0]
     with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
         parse(lab_config_text.replace(line, f"{key}: 1{'0' * 400}"))
-    # past Python's 4300-digit limit the YAML reader itself rejects the integer
-    with pytest.raises(ConfigError, match="config syntax error"):
-        parse(lab_config_text.replace(line, f"{key}: {'1' * 5000}"))
+    # past Python's 4300-digit limit the YAML reader itself rejects the integer, at its mark
+    with pytest.raises(ConfigError, match="config syntax error") as raised:
+        ConfigFile.loads(lab_config_text.replace(line, f"{key}: {'1' * 5000}"), "huge.yaml")
+    assert re.search(r' in "huge\.yaml", line \d+, column \d+$', str(raised.value))
+    assert "sys." not in str(raised.value) and "\n" not in str(raised.value)
+
+
+def test_date_past_the_calendar_is_config_error_at_its_mark(lab_config_text):
+    # YAML 1.1 reads 2001-13-14 as a date, and the date constructor raises ValueError
+    with pytest.raises(ConfigError, match=r'^config syntax error: month must be in 1\.\.12 '
+                                          r'in "bad\.yaml", line \d+, column 11$'):
+        ConfigFile.loads(lab_config_text.replace("mirror_R: 0.98", "mirror_R: 2001-13-14"),
+                         "bad.yaml")
 
 
 # -- documents nested too deep ----------------------------------------------------------
@@ -288,9 +299,10 @@ def test_deeply_nested_documents_are_config_errors(tmp_path):
     done = subprocess.run([sys.executable, "-c", _PREDICT_EACH, *paths],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0 and done.stderr == "", (done.returncode, done.stderr)
-    for code, err in json.loads(done.stdout):
+    for path, (code, err) in zip(paths, json.loads(done.stdout)):
         assert code == EXIT_CONFIG
         assert err.startswith("config error: config syntax error: ") and err.count("\n") == 1
+        assert f'in "{path}"' in err
 
 
 def test_pure_python_parser_nested_too_deep_is_config_error(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from cvswap import (
     GaussianModel,
     build_network,
     estimate_variance,
+    montecarlo,
     render_trace,
     run_experiment,
     snl_reference,
     write_trace_csv,
 )
 from cvswap.montecarlo import (DEFAULT_N_PER_POINT, RNG_ALGORITHM, TRACE_KINDS, TraceSeries,
-                               _Dumper, _sidecar_events, _trace_form)
+                               _Dumper, _trace_form)
 from cvswap.swap import single_mode_noise
 from conftest import make_lab_params
 
@@ -287,22 +289,67 @@ _METADATA = st.dictionaries(
     max_size=6)
 
 
+def _sidecars(metadata: dict, directory, dumper) -> list[str]:
+    """The sidecars of two writes of ``metadata`` through ``dumper``'s emitter: the first
+    emits the layout, the second fills it in."""
+    with mock.patch.object(montecarlo, "_Dumper", dumper):
+        montecarlo._layout.cache_clear()
+        try:
+            return [write_trace_csv(TraceSeries([1.0], metadata), directory / "trace.csv")
+                    .read_text() for _ in range(2)]
+        finally:
+            montecarlo._layout.cache_clear()
+
+
 @settings(derandomize=True, deadline=None)
 @given(metadata=_METADATA)
 @example(metadata={})
 @example(metadata={"params": {}, "e": {"deep": {"deeper": {"x": 1e-05}}}, "n": 10**40})
-def test_sidecar_events_emit_safe_dump_text(metadata):
-    # the events are the serializer's, so each emitter writes what a full dump through it
-    # writes; libyaml and the pure-Python emitter differ on some keys (an empty one)
+# a key and a string leaf that write the first slot marker
+@example(metadata={"slot0": 1, "x": "slot0", "e": {"slot0": "slot1", "n": None}})
+@example(metadata={"tiny": 5e-324, "inf": math.inf, "-inf": -math.inf, "nan": math.nan,
+                   "big": 10**300, "e": {"tiny": -5e-324, "big": -10**300}})
+def test_sidecar_events_emit_safe_dump_text(tmp_path_factory, metadata):
+    # the layout's events are the serializer's, so each emitter writes what a full dump
+    # through it writes; libyaml and the pure-Python emitter differ on some keys (an empty one)
+    directory = tmp_path_factory.getbasetemp()
     expected = yaml.safe_dump(metadata, sort_keys=True)
-    assert yaml.emit(_sidecar_events(metadata), Dumper=yaml.SafeDumper) == expected
+    assert _sidecars(metadata, directory, yaml.SafeDumper) == [expected, expected]
     expected = yaml.dump(metadata, Dumper=_Dumper, sort_keys=True)
-    assert yaml.emit(_sidecar_events(metadata), Dumper=_Dumper) == expected
+    assert _sidecars(metadata, directory, _Dumper) == [expected, expected]
 
 
-def test_sidecar_events_reject_values_outside_the_tree_shape():
+def test_sidecar_events_reject_values_outside_the_tree_shape(tmp_path):
     with pytest.raises(yaml.representer.RepresenterError):
         yaml.safe_dump({"x": np.float64(1.0)})
-    for value in (np.float64(1.0), [1, 2], (1,)):  # safe_dump writes the last two
+    # safe_dump writes lists, tuples and int keys; a key of 1 would share a layout with True
+    for metadata in ({"x": np.float64(1.0)}, {"x": [1, 2]}, {"x": (1,)}, {1: "x"}):
         with pytest.raises(yaml.representer.RepresenterError):
-            _sidecar_events({"x": value})
+            write_trace_csv(TraceSeries([1.0], metadata), tmp_path / "trace.csv")
+    assert list(tmp_path.iterdir()) == []  # no CSV without its sidecar
+
+
+def test_second_sidecar_of_a_layout_emits_nothing(tmp_path, lab_params, monkeypatch):
+    emitted, emit = [], yaml.emit
+    monkeypatch.setattr(yaml, "emit", lambda *args, **kw: emitted.append(1) or emit(*args, **kw))
+    montecarlo._layout.cache_clear()
+    first = render_trace(lab_params, "correlated", points=2, seed=19)
+    write_trace_csv(first, tmp_path / "first.csv")
+    assert len(emitted) == 1
+    # other numbers, same keys and strings: the layout is filled in, not emitted
+    second = render_trace(lab_params, "correlated", points=3, seed=20, n_per_point=7)
+    sidecar = write_trace_csv(second, tmp_path / "second.csv")
+    assert len(emitted) == 1
+    assert sidecar.read_text() == yaml.safe_dump(second.metadata, sort_keys=True)
+
+
+def test_network_sidecars_of_both_gain_modes_match_safe_dump(tmp_path):
+    # four layouts in one process, each written twice: emitted, then filled in
+    montecarlo._layout.cache_clear()
+    for gain in (GainSpec("optimal"), GainSpec("fixed", 0.74)):
+        params = make_lab_params(gain=gain, enl_db=11.3)
+        for kind in ("correlated", "blocked"):
+            for seed in (21, 22):
+                trace = render_trace(params, kind, points=2, seed=seed)
+                sidecar = write_trace_csv(trace, tmp_path / f"{kind}-{gain.mode}-{seed}.csv")
+                assert sidecar.read_text() == yaml.safe_dump(trace.metadata, sort_keys=True)
