@@ -17,12 +17,11 @@ V from overflowing inside the average. Each call seeds one numpy PCG64
 generator and draws its points (or chunks) from it in order. Seeded traces
 differ from those written by 0.4.0, which drew every sample.
 
-Each file of a trace is written with one ``write``. The CSV rows are formatted
-directly, with the bytes ``csv.writer`` gives for ``[index, repr(dB)]``. The
-sidecar has the bytes of ``yaml.safe_dump(metadata, sort_keys=True)``: PyYAML's
-emitter (libyaml where built with it) writes each layout of keys and string
-leaves once per process, and each sidecar fills in its numbers, bools and nulls.
-Both files keep the bytes of 0.5.0's first writer, which called those two.
+Each file of a trace is written with one ``write``, with the bytes of 0.5.0's
+first writer: the CSV rows are formatted directly, as ``csv.writer`` writes
+``[index, repr(dB)]``, and the sidecar is ``yaml.safe_dump(metadata,
+sort_keys=True)``, dumped once per process for each layout of keys and string
+leaves, into which each sidecar fills its numbers, bools and nulls.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ RNG_ALGORITHM = (
 )
 
 _CHUNK = 1 << 17
-
-# the rule config._Loader follows: libyaml where PyYAML was built with it
-_Dumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 @dataclass
@@ -162,10 +158,6 @@ def render_trace(
     return TraceSeries(powers, metadata)
 
 
-_TAG = "tag:yaml.org,2002:"
-_RESOLVER = yaml.resolver.Resolver()
-
-
 def _plain_text(value) -> str:
     """A None, bool, int or float leaf as ``safe_dump`` writes it: one plain token."""
     kind = type(value)
@@ -198,32 +190,24 @@ def _shape(mapping: dict, texts: list) -> tuple:
     return tuple(shape)
 
 
-def _layout_events(shape: tuple, slot: yaml.ScalarEvent, events: list) -> None:
-    """Append the events of a block mapping of layout ``shape`` to ``events``."""
-    events.append(yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False))
-    for item in itertools.chain.from_iterable(shape):
-        if type(item) is tuple:
-            _layout_events(item, slot, events)
-        elif item is None:
-            events.append(slot)
-        else:  # a key or string leaf: plain unless the resolver would read another type
-            plain = _RESOLVER.resolve(yaml.ScalarNode, item, (True, False)) == _TAG + "str"
-            events.append(yaml.ScalarEvent(None, _TAG + "str", (plain, True), item))
-    events.append(yaml.MappingEndEvent())
+def _tree(shape: tuple, slot: str | None) -> dict:
+    """The metadata of layout ``shape`` with ``slot`` in each slot."""
+    return {key: _tree(value, slot) if type(value) is tuple else slot if value is None else value
+            for key, value in shape}
 
 
 @functools.lru_cache(maxsize=32)
 def _layout(shape: tuple) -> str:
     """The sidecar text of all metadata of layout ``shape``, ``%s`` in each slot: a slot's
-    one plain token ends its line and sets no other line's layout, so the layout is emitted
-    once, with a marker token in each slot that no key or string leaf writes."""
+    one plain token ends its line and sets no other line's layout, so ``safe_dump`` writes
+    the layout once, with a marker token in each slot that no key or string leaf writes."""
+    slots: list[str] = []
+    _shape(_tree(shape, None), slots)  # one text per slot
     for attempt in itertools.count():
-        slot = yaml.ScalarEvent(None, None, (True, False), f"slot{attempt}")
-        events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
-        _layout_events(shape, slot, events)
-        text = yaml.emit(events + [yaml.DocumentEndEvent(), yaml.StreamEndEvent()], Dumper=_Dumper)
-        if text.count(slot.value) == events.count(slot):
-            return text.replace("%", "%%").replace(slot.value, "%s")
+        slot = f"slot{attempt}"
+        text = yaml.safe_dump(_tree(shape, slot), sort_keys=True)
+        if text.count(slot) == len(slots):
+            return text.replace("%", "%%").replace(slot, "%s")
 
 
 def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
@@ -237,6 +221,5 @@ def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
     with open(path, "w", newline="") as fh:
         fh.write("point_index,db_value\r\n" + "".join(rows))
     sidecar = path.with_suffix(".meta.yaml")
-    with open(sidecar, "w") as fh:
-        fh.write(layout % tuple(texts))
+    sidecar.write_text(layout % tuple(texts))
     return sidecar

@@ -112,9 +112,12 @@ class ExperimentParams:
         return _shape(self.r1)
 
     def as_dict(self) -> dict:
-        """The fields by name, ``gain`` as a nested dict: ``dataclasses.asdict`` without
-        its recursive deep copy, which a record of floats does not need."""
-        return {**vars(self), "gain": dict(vars(self.gain))}
+        """The fields by name, ``gain`` as a nested dict and a numpy scalar as the Python
+        number it equals: ``dataclasses.asdict`` without its recursive deep copy."""
+        fields = {**vars(self), "gain": dict(vars(self.gain))}
+        for record in (fields, fields["gain"]):
+            record.update({k: v.item() for k, v in record.items() if isinstance(v, np.generic)})
+        return fields
 
     @classmethod
     def from_intensities(cls, *, xi1_sq: float, xi2_sq: float, xi3_sq: float, xi4_sq: float,

@@ -431,7 +431,7 @@ def test_sweep_rejects_like_scalar_path(tmp_path, lab_config_text, capsys, edit,
 
 
 @pytest.mark.parametrize("bound", ["nan", "inf"])
-def test_sweep_non_finite_axis_is_config_error(config_path, tmp_path, capsys, bound):
+def test_sweep_non_finite_axis_is_usage_error(config_path, tmp_path, capsys, bound):
     message = {"nan": "must be >= 0, got nan",
                "inf": f"must be <= {sys.float_info.max} (the largest float)"}[bound]
     out = tmp_path / "grid.csv"
@@ -443,7 +443,7 @@ def test_sweep_non_finite_axis_is_config_error(config_path, tmp_path, capsys, bo
 
 
 @pytest.mark.parametrize("flag", ["--r1", "--r2"])
-def test_sweep_negative_axis_is_config_error(config_path, tmp_path, capsys, flag):
+def test_sweep_negative_axis_is_usage_error(config_path, tmp_path, capsys, flag):
     out = tmp_path / "grid.csv"
     axes = {"--r1": ["0", "1"], "--r2": ["0", "1"]} | {flag: ["-1", "1"]}
     _is_usage_error([
@@ -657,18 +657,18 @@ def test_verify_rejected_config_keeps_exit_and_message(tmp_path, python_warnings
     assert json.loads(done.stdout) == expected
 
 
-def test_verify_negative_random_with_config_is_config_error(config_path, capsys):
+def test_verify_negative_random_with_config_is_usage_error(config_path, capsys):
     captured = _is_usage_error(["verify", "--config", config_path, "--random", "-5"], capsys,
                                "error: argument --random: must be >= 0, got -5")
     assert captured.out == ""
 
 
-def test_verify_negative_random_alone_is_config_error(capsys):
+def test_verify_negative_random_alone_is_usage_error(capsys):
     _is_usage_error(["verify", "--random", "-5"], capsys,
                     "error: argument --random: must be >= 0, got -5")
 
 
-def test_verify_negative_seed_is_config_error(capsys):
+def test_verify_negative_seed_is_usage_error(capsys):
     _is_usage_error(["verify", "--random", "3", "--seed", "-1"], capsys,
                     "error: argument --seed: must be >= 0, got -1")
 
@@ -705,7 +705,7 @@ def test_montecarlo_requires_out(config_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--points", "--n-per-point"])
-def test_montecarlo_zero_count_is_config_error(config_path, tmp_path, capsys, flag):
+def test_montecarlo_zero_count_is_usage_error(config_path, tmp_path, capsys, flag):
     out = tmp_path / "t.csv"
     _is_usage_error([
         "montecarlo", "--config", config_path, "--kind", "snl",
@@ -714,7 +714,7 @@ def test_montecarlo_zero_count_is_config_error(config_path, tmp_path, capsys, fl
     assert not out.exists()
 
 
-def test_montecarlo_negative_seed_is_config_error(config_path, tmp_path, capsys):
+def test_montecarlo_negative_seed_is_usage_error(config_path, tmp_path, capsys):
     out = tmp_path / "t.csv"
     _is_usage_error([
         "montecarlo", "--config", config_path, "--kind", "snl",
@@ -740,7 +740,7 @@ def test_montecarlo_huge_averaging_depth_needs_no_samples(config_path, tmp_path)
     (["montecarlo", "--kind", "snl", "--points", str(2**62)], "--points"),
     (["sweep", "--r1", "0", "1", "--r2", "0", "1", "--steps", str(2**62)], "--steps"),
 ])
-def test_count_past_the_platform_limit_is_config_error(config_path, tmp_path, capsys,
+def test_count_past_the_platform_limit_is_usage_error(config_path, tmp_path, capsys,
                                                        argv, flag):
     # rejected by argparse, before anything is allocated or written
     out = tmp_path / "out.csv"
