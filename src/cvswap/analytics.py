@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ExperimentParams, any_draw, every_draw
+from .params import ExperimentParams, any_draw, every_draw, finite
 
 _LN10 = math.log(10.0)
 
@@ -26,38 +26,25 @@ def variance_formula(params: ExperimentParams, g_swap):
     per draw.
     """
     feedforward = _check_gains(params, g_swap)
-    if params.batch_shape:
-        with np.errstate(**_RAISE):
-            return _variance(params, params.r1, params.r2, g_swap, feedforward, np)
-    value = _variance(params, params.r1, params.r2, g_swap, feedforward, math)
-    return _finite("closed form", value)
+    xp = np if params.batch_shape else math
+    with np.errstate(all="ignore"):
+        value = _variance(params, params.r1, params.r2, g_swap, feedforward, xp)
+    return finite("closed form", value)
 
 
 def optimal_gain(params: ExperimentParams) -> float:
-    """Normalized gain minimizing :func:`variance_formula`; 0 when nothing is squeezed.
-
-    Takes one parameter point, not a batch of draws.
-    """
-    return _finite("optimal gain", _optimal_gain(params, params.r1, params.r2, math))
+    """One point's normalized gain minimizing :func:`variance_formula`; 0 when unsqueezed."""
+    params.one_point("optimal_gain")
+    return finite("optimal gain", _optimal_gain(params, params.r1, params.r2, math))
 
 
 # -- the closed form ----------------------------------------------------------
 #
 # Written once for scalar, grid and batch use: the parameters are either
 # floats (with xp = math) or arrays that broadcast against each other (with
-# xp = numpy). Either way a result outside floating-point range is an
-# ArithmeticError: scalar callers check the result (float * and / overflow to
-# inf silently), array callers evaluate under np.errstate(**_RAISE).
-
-_RAISE = dict(divide="raise", over="raise", invalid="raise")
-
-
-def _finite(quantity: str, value: float) -> float:
-    """``value`` as a built-in float, or an OverflowError naming ``quantity`` if it is inf or nan."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise OverflowError(f"{quantity} evaluates to {value}")
-    return value
+# xp = numpy). Every route keeps one overflow rule: evaluate silently (numpy
+# under errstate(all="ignore")), then check the result once with
+# params.finite. Only math.exp raises by itself, past the float range.
 
 
 def _check_gains(params: ExperimentParams, g_swap):
@@ -131,13 +118,10 @@ def electronic_gain(g_swap, mirror_R, eta, xi1):
         raise ValueError("mirror_R = 1 leaves no feedforward port")
     if not every_draw(unused | ((eta != 0) & (xi1 != 0))):
         raise ValueError("eta and xi1 must be > 0 to set an electronic gain")
-    port = np.sqrt(1.0 - mirror_R) * eta * xi1
     # a draw without gain divides 0 by port + 1, since its port may be closed
-    with np.errstate(over="ignore"):
-        g = math.sqrt(2.0) * g_swap / (port + unused)
-    if not np.isfinite(g).all():
-        raise OverflowError("electronic gain is inf or nan")
-    return g if isinstance(g, np.ndarray) else float(g)
+    with np.errstate(all="ignore"):
+        port = np.sqrt(1.0 - mirror_R) * eta * xi1
+        return finite("electronic gain", math.sqrt(2.0) * g_swap / (port + unused))
 
 
 # -- unit conversions --------------------------------------------------------
@@ -174,7 +158,7 @@ def enl_correct(v_meas_db_below_snl: float, enl_db_below_snl: float) -> float:
     v_enl = 10.0 ** (-enl_db_below_snl / 10.0)
     if v_meas <= v_enl:
         raise ValueError("measured variance is at or below the electronic noise floor")
-    return _finite("ENL-corrected depth", -10.0 * math.log10((v_meas - v_enl) / (1.0 - v_enl)))
+    return finite("ENL-corrected depth", -10.0 * math.log10((v_meas - v_enl) / (1.0 - v_enl)))
 
 
 _SNL_BOUNDARY_TOL = 1e-12
@@ -220,10 +204,10 @@ def sweep_surface(
     if not ((r1s >= 0).all() and (r2s >= 0).all()):  # also rejects nan
         raise ValueError("squeezing parameters must be >= 0")
     r1, r2 = r1s[:, None], r2s[None, :]
-    with np.errstate(**_RAISE):
-        gains = _optimal_gain(params, r1, r2, np)
+    with np.errstate(all="ignore"):
+        gains = finite("optimal gain", _optimal_gain(params, r1, r2, np))
         feedforward = _check_gains(params, gains)
-        values = _variance(params, r1, r2, gains, feedforward, np)
+        values = finite("closed form", _variance(params, r1, r2, gains, feedforward, np))
     # predict's rule for every cell: the largest gain needs the largest electronic gain
     electronic_gain(gains.max(), params.mirror_R, params.eta, params.xi1)
     return values

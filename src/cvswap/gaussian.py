@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .params import any_draw, check_unit
+from .params import any_draw, check_unit, finite
 
 __all__ = ["GaussianModel"]
 
@@ -152,12 +152,9 @@ class GaussianModel:
         # order). On contiguous rows vecdot runs the same dot product per draw
         # that 1-D ``@`` runs on one point, so a batch agrees with its draws bit
         # for bit (``.sum(0)`` does not, nor does a dot over strided rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = np.vecdot(np.ascontiguousarray((f1[:k] * self.variances[:k]).T),
-                              np.ascontiguousarray(f2[:k].T)).T
-        if not np.isfinite(value).all():
-            raise OverflowError("covariance is inf or nan")
-        return float(value) if value.ndim == 0 else value
+        with np.errstate(all="ignore"):
+            weighted = np.ascontiguousarray((f1[:k] * self.variances[:k]).T)
+            return finite("covariance", np.vecdot(weighted, np.ascontiguousarray(f2[:k].T)).T)
 
     def variance(self, form: np.ndarray):
         return self.covariance(form, form)

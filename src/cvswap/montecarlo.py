@@ -127,6 +127,7 @@ def render_trace(
     n_per_point: int | None = None,
 ) -> TraceSeries:
     """Render a noise trace of ``points`` displayed averages for one trace kind."""
+    params.one_point("render_trace")
     if points < 1:
         raise ValueError(f"need at least 1 point, got {points}")
     if n_per_point is None:

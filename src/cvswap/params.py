@@ -21,6 +21,17 @@ def every_draw(mask) -> bool:
     return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def finite(quantity: str, value):
+    """``value``, or an OverflowError naming ``quantity`` if it or any draw is inf or nan:
+    the one check of every route's result. A numpy scalar comes back a built-in float."""
+    if type(value) is float:  # math.isfinite: np.isfinite takes about 2 us on a scalar
+        if not math.isfinite(value):
+            raise OverflowError(f"{quantity} evaluates to {value}")
+    elif not np.isfinite(value).all():
+        raise OverflowError(f"{quantity} is inf or nan")
+    return value if type(value) is float or getattr(value, "ndim", 0) else float(value)
+
+
 def shown(value) -> str:
     """``repr`` of a scalar, the kind of a list or mapping: YAML aliases blow up its repr."""
     return {list: "a list", dict: "a mapping"}.get(type(value)) or repr(value)
@@ -110,6 +121,11 @@ class ExperimentParams:
     def batch_shape(self) -> tuple[int, ...]:
         """``()`` for one parameter point, ``(n,)`` for a batch of n draws."""
         return _shape(self.r1)
+
+    def one_point(self, user: str) -> None:
+        """Reject a batch of draws: ``user`` takes one parameter point."""
+        if self.batch_shape:
+            raise ValueError(f"{user} takes one parameter point, not a batch of draws")
 
     def as_dict(self) -> dict:
         """The fields by name, ``gain`` as a nested dict and a numpy scalar as the Python

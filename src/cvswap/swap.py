@@ -164,6 +164,7 @@ def verification_variances(params: ExperimentParams):
 
 def run_experiment(params: ExperimentParams) -> VarianceReport:
     """Build the network and report SNL-normalized verification variances."""
+    params.one_point("run_experiment")
     v_plus, v_minus, g_swap = verification_variances(params)
     entangled, margin = analytics.duan_verdict(v_plus, v_minus)
     return VarianceReport(

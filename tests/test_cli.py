@@ -412,7 +412,9 @@ def test_sweep_csv_is_csv_writer_bytes(config_path, tmp_path, r1, r2, steps, cel
     ("edit", "axes", "message"),
     [
         (("xi4_sq: 0.968", "xi4_sq: 0"), ("0", "1"), "degenerate gain denominator"),
-        (None, ("0", "300"), "outside floating-point range"),
+        pytest.param(None, ("0", "300"),
+                     "outside floating-point range (OverflowError: optimal gain is inf or nan)",
+                     id="None-axes1-outside floating-point range"),
         (("mirror_R: 0.98", "mirror_R: 1"), ("0", "1"), "mirror_R = 1 leaves no feedforward port"),
     ],
 )
@@ -621,6 +623,11 @@ _REJECTED = [
     (((_OPTIMAL, "mode: fixed\n  value: 1e300"),), _COVARIANCE_OVERFLOW),
     # 2 r overflows to inf: silently, for one point and in a batch
     ((("r2: 0.587", "r2: 1e308"), ("# blocked: true", "blocked: true")), _COVARIANCE_OVERFLOW),
+    # the feedforward port sqrt(1 - R) eta xi1 underflows to 0: a division by zero, silently
+    ((("xi1_sq: 0.970", "xi1_sq: 5e-324"), ("eta_sq: 0.90", "eta_sq: 5e-324"),
+      ("mirror_R: 0.98", "mirror_R: 0.99999999"), (_OPTIMAL, "mode: fixed\n  value: 0.5")),
+     "physics rejection: result outside floating-point range "
+     "(OverflowError: electronic gain is inf or nan)\n"),
 ]
 
 # runs each argv of the JSON list in argv[1] through main, in one interpreter
@@ -841,8 +848,8 @@ def _edge_configs(draw):
     return config
 
 
-def _lab_config(gain: float) -> dict:
-    efficiencies = dict(LAB_INTENSITIES)
+def _lab_config(gain: float, **intensities) -> dict:
+    efficiencies = {**LAB_INTENSITIES, **intensities}
     mirror_R = efficiencies.pop("mirror_R")
     return {"squeezing": {"r1": LAB_R1, "r2": LAB_R2}, "efficiencies": efficiencies,
             "mirror_R": mirror_R, "gain": {"mode": "fixed", "value": gain}, "enl_db": 11.3}
@@ -851,6 +858,8 @@ def _lab_config(gain: float) -> dict:
 @settings(derandomize=True, deadline=None)
 @example(config=_lab_config(6e153), r_bounds=[0.0, 0.5, 0.0, 0.5])  # the trace overflowed
 @example(config=_lab_config(1.02e154), r_bounds=[0.0, 0.5, 0.0, 0.5])  # the ENL depth did
+@example(config=_lab_config(0.5, xi1_sq=5e-324, eta_sq=5e-324, mirror_R=1 - 1e-8),
+         r_bounds=[0.0, 0.5, 0.0, 0.5])  # the feedforward port underflowed to 0
 @given(config=_edge_configs(), r_bounds=st.lists(st.sampled_from(_EDGES), min_size=4,
                                                  max_size=4))
 def test_edge_configs_exit_cleanly_and_print_no_inf_or_nan(tmp_path_factory, config, r_bounds):

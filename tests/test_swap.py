@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cvswap
 from cvswap import (
     ExperimentParams,
     GainSpec,
@@ -93,6 +94,18 @@ def test_batch_params_validation():
                      {"channel_blocked": np.zeros(2, bool)}):
         with pytest.raises(ValueError, match="equal-length 1-D arrays"):
             ExperimentParams(**(fields | mismatch))
+
+
+@pytest.mark.parametrize("name", ["optimal_gain", "run_experiment", "render_trace"])
+def test_one_point_functions_reject_a_batch_first(name):
+    # at the optimal gain the batch cannot build a network, and a trace of an unknown
+    # kind with no points has two more errors of its own: the batch is rejected first
+    lab = make_lab_params()
+    batch = ExperimentParams(**{field: getattr(lab, field) * np.ones(2) for field in
+                                ("r1", "r2", "xi1", "xi2", "xi3", "xi4", "eta", "mirror_R")})
+    args = {"render_trace": ("nope", 0, 1)}.get(name, ())
+    with pytest.raises(ValueError, match=f"^{name} takes one parameter point, not a batch of draws$"):
+        getattr(cvswap, name)(batch, *args)
 
 
 def test_nan_squeezing_and_gain_rejected():
