@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ExperimentParams, any_draw, every_draw, finite
+from .params import ExperimentParams, any_draw, check_gain, every_draw, finite
 
 _LN10 = math.log(10.0)
 
@@ -49,8 +49,7 @@ def optimal_gain(params: ExperimentParams) -> float:
 
 def _check_gains(params: ExperimentParams, g_swap):
     """Reject gains the closed form cannot take; return where the gain is nonzero."""
-    if any_draw(g_swap < 0):
-        raise ValueError(f"g_swap must be >= 0, got {np.min(g_swap)}")
+    check_gain("g_swap", g_swap)
     feedforward = g_swap > 0
     if any_draw(feedforward & (params.xi1 == 0)):
         raise ValueError("xi1 = 0 with nonzero gain: feedforward noise term diverges")
@@ -108,11 +107,12 @@ def _optimal_gain(params: ExperimentParams, r1, r2, xp):
 def electronic_gain(g_swap, mirror_R, eta, xi1):
     """Electronic gain g realizing a normalized g_swap = sqrt(1-R)/sqrt(2) * eta * xi1 * g.
 
-    Elementwise on a batch of draws; OverflowError if g is inf or nan. A zero
-    ``g_swap`` maps to 0 and needs no feedforward port, so such a draw may
-    have mirror_R = 1. The network passes the reflectivity of the mirror it
-    builds (see :func:`cvswap.swap.build_network`), the CLI that of the params.
+    Elementwise on a batch of draws; ValueError for a negative or nan g_swap, OverflowError if g
+    is inf or nan. A zero ``g_swap`` maps to 0 and needs no feedforward port, so such a draw may
+    have mirror_R = 1. The network passes the reflectivity of the mirror it builds (see
+    :func:`cvswap.swap.build_network`), the CLI that of the params.
     """
+    check_gain("g_swap", g_swap)
     unused = g_swap == 0.0
     if not every_draw(unused | (mirror_R < 1.0)):
         raise ValueError("mirror_R = 1 leaves no feedforward port")

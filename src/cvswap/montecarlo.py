@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +43,7 @@ RBW_HZ = 10_000.0
 VBW_HZ = 30.0
 DEFAULT_N_PER_POINT = round(RBW_HZ / VBW_HZ)  # 333
 
-# the build_network handle each network trace records; "blocked" cuts the channel first
-_TRACE_HANDLES = {"correlated": "victor_plus", "blocked": "victor_plus",
-                  "single_mode_a": "a", "single_mode_dprime": "dprime"}
-TRACE_KINDS = (*_TRACE_HANDLES, "snl")
+TRACE_KINDS = tuple(swap.READ_OUTS)  # a trace samples the read-out of its kind's name
 
 RNG_ALGORITHM = (
     "numpy default_rng(seed) (PCG64), one generator per trace, points drawn in order; "
@@ -89,6 +86,8 @@ def estimate_variance(
     error is the empirical spread of the squared draws (their fourth moment),
     not the exact one, and criterion 08 checks it as such a statistic.
     """
+    if model.batch_shape:
+        raise ValueError("estimate_variance takes one parameter point, not a batch of draws")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     rng = np.random.default_rng(seed)
@@ -104,19 +103,6 @@ def estimate_variance(
     if math.isinf(v * mean_sq):  # the standard error, at most the mean, is then finite
         raise OverflowError(f"sampled variance {v!r} * {mean_sq!r} overflows")
     return v * mean_sq, v * math.sqrt(var_of_sq / n)
-
-
-def _trace_form(
-    params: ExperimentParams, kind: str
-) -> tuple[GaussianModel, np.ndarray]:
-    if kind == "snl":
-        return swap.snl_network()
-    if kind not in _TRACE_HANDLES:
-        raise ValueError(f"unknown trace kind {kind!r}: expected one of {TRACE_KINDS}")
-    if kind == "blocked":
-        params = replace(params, channel_blocked=True)
-    model, handles = swap.build_network(params)
-    return model, getattr(handles, _TRACE_HANDLES[kind])
 
 
 def render_trace(
@@ -135,8 +121,7 @@ def render_trace(
     if n_per_point < 1:
         raise ValueError(f"n_per_point must be >= 1, got {n_per_point}")
 
-    model, form = _trace_form(params, kind)
-    v = model.variance(form) / swap.snl_reference()
+    v = swap.noise(params, kind)
     # point k is V * chi2_n / n; float products, so an overflow is inf, not a warning
     draws = np.random.default_rng(seed).gamma(n_per_point / 2, 2 / n_per_point, points)
     powers = [v * draw for draw in draws.tolist()]

@@ -53,8 +53,7 @@ class GainSpec:
         if self.mode == "fixed":
             if self.value is None:
                 raise ValueError("gain: fixed mode requires 'value'")
-            if not every_draw(self.value >= 0):
-                raise ValueError(f"gain.value: must be >= 0, got {self.value}")
+            check_gain("gain.value:", self.value)
         elif self.value is not None:
             raise ValueError("gain: optimal mode takes no 'value'")
 
@@ -63,6 +62,12 @@ def check_unit(name: str, value) -> None:
     """Reject a value (or any draw of a batch) outside [0, 1], nan included."""
     if not every_draw((0.0 <= value) & (value <= 1.0)):
         raise ValueError(f"{name}: must be in [0, 1], got {value}")
+
+
+def check_gain(label: str, value) -> None:
+    """Reject a gain (or any draw of a batch) below 0, nan included: one rule for every gain."""
+    if not every_draw(value >= 0):
+        raise ValueError(f"{label} must be >= 0, got {value}")
 
 
 def _shape(value) -> tuple[int, ...]:

@@ -10,7 +10,8 @@ which the closed form in :mod:`cvswap.analytics` is checked.
 Station map (mode labels): the pair (a, b) comes from the first squeezer and
 (c, d) from the second; b and c go to the joint measurement, a and d stay with
 the end parties, and d picks up the feedforward displacement (d') before both
-are verified. :class:`NetworkHandles` holds every read-out of this map.
+are verified. :class:`NetworkHandles` holds every form of this map, and
+:data:`READ_OUTS` names the one each trace kind reads (see :func:`noise`).
 
 :func:`build_network` takes one parameter point or a batch of draws (see
 :class:`ExperimentParams`); a batch is one network over the trailing batch
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,22 +61,21 @@ class NetworkHandles:
     g_swap: float | np.ndarray  # one per draw on a batch
 
 
-def snl_network() -> tuple[GaussianModel, np.ndarray]:
-    """Two fresh vacua and the joint amplitude-sum current on them."""
-    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
-    return m, (m.x_form("v1") + m.x_form("v2")) * (1.0 / _SQRT2)
+# each trace kind's NetworkHandles form and whether the channel is cut first; "snl" is 1
+READ_OUTS = {"correlated": ("victor_plus", False), "blocked": ("victor_plus", True),
+             "single_mode_a": ("a", False), "single_mode_dprime": ("dprime", False), "snl": None}
 
 
 @functools.cache
 def snl_reference() -> float:
-    """Shot-noise normalization: the variance of :func:`snl_network`'s current.
+    """Shot-noise normalization: the joint amplitude-sum current's variance on two vacua.
 
     Computed, not assumed, so the verification variances stay correctly
     normalized even if the current convention changes; computed once per
     process, since it depends on no parameter.
     """
-    model, form = snl_network()
-    return model.variance(form)
+    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
+    return m.variance((m.x_form("v1") + m.x_form("v2")) * (1.0 / _SQRT2))
 
 
 def resolve_gain(params: ExperimentParams):
@@ -179,11 +179,21 @@ def run_experiment(params: ExperimentParams) -> VarianceReport:
     )
 
 
+def noise(params: ExperimentParams, kind: str):
+    """SNL-normalized variance of the read-out :data:`READ_OUTS` names ``kind``."""
+    if kind not in READ_OUTS:
+        raise ValueError(f"unknown trace kind {kind!r}: expected one of {tuple(READ_OUTS)}")
+    if READ_OUTS[kind] is None:
+        return 1.0
+    handle, blocked = READ_OUTS[kind]
+    model, handles = build_network(replace(params, channel_blocked=True) if blocked else params)
+    return model.variance(getattr(handles, handle)) / snl_reference()
+
+
 def single_mode_noise(params: ExperimentParams, which: str) -> float:
     """Amplitude-quadrature noise, in SNL units, of the verified beam named by
     ``which``: the :class:`NetworkHandles` field "a" (the untouched beam) or
     "dprime" (the displaced beam, with whatever feedforward the params apply)."""
     if which not in ("a", "dprime"):
         raise ValueError(f"unknown mode {which!r}: expected 'a' or 'dprime'")
-    model, handles = build_network(params)
-    return model.variance(getattr(handles, which)) / snl_reference()
+    return noise(params, f"single_mode_{which}")

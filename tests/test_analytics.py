@@ -63,6 +63,15 @@ def test_blocked_value(lab_params):
 def test_negative_gain_rejected(lab_params):
     with pytest.raises(ValueError, match=">= 0"):
         variance_formula(lab_params, -0.1)
+    # one rule for every gain: nan is no gain either, and the conversion applies it too
+    p = lab_params
+    for g_swap in (-0.5, math.nan):
+        with pytest.raises(ValueError, match=f"^g_swap must be >= 0, got {g_swap}$"):
+            variance_formula(p, g_swap)
+        with pytest.raises(ValueError, match=f"^g_swap must be >= 0, got {g_swap}$"):
+            electronic_gain(g_swap, p.mirror_R, p.eta, p.xi1)
+    with pytest.raises(ValueError, match=r"^g_swap must be >= 0, got \[0.5 nan\]$"):
+        electronic_gain(np.array([0.5, math.nan]), p.mirror_R, p.eta, p.xi1)
 
 
 def test_xi1_zero_with_gain_rejected(lab_params):

@@ -13,6 +13,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from cvswap import (
+    ExperimentParams,
     GainSpec,
     GaussianModel,
     build_network,
@@ -20,13 +21,11 @@ from cvswap import (
     montecarlo,
     render_trace,
     run_experiment,
-    snl_reference,
     write_trace_csv,
 )
-from cvswap.montecarlo import (DEFAULT_N_PER_POINT, RNG_ALGORITHM, TRACE_KINDS, TraceSeries,
-                               _trace_form)
+from cvswap.montecarlo import DEFAULT_N_PER_POINT, RNG_ALGORITHM, TRACE_KINDS, TraceSeries
 from cvswap.params import _NUMERIC_FIELDS
-from cvswap.swap import single_mode_noise
+from cvswap.swap import READ_OUTS, noise, single_mode_noise
 from conftest import make_lab_params
 
 V_LAB = 0.718796855333
@@ -67,6 +66,19 @@ def test_estimate_rejects_tiny_sample_counts(lab_params):
         estimate_variance(model, handles.victor_plus, 1, seed=0)
 
 
+def test_estimate_rejects_a_batched_model_first():
+    # a model of two draws has one variance per draw; the estimate takes one, and says so
+    # before it draws or checks its sample count
+    lab = make_lab_params(gain=GainSpec("fixed", 0.74))
+    batch = ExperimentParams(**{name: getattr(lab, name) * np.ones(2) for name in _NUMERIC_FIELDS},
+                             gain=lab.gain)
+    model, handles = build_network(batch)
+    for n in (1, 1000):
+        with pytest.raises(ValueError, match="^estimate_variance takes one parameter point, "
+                                             "not a batch of draws$"):
+            estimate_variance(model, handles.victor_plus, n, seed=0)
+
+
 def test_estimate_chunking_is_seamless(lab_params):
     # crossing the internal chunk boundary leaves the stream of one unchunked draw
     model, handles = build_network(lab_params)
@@ -82,13 +94,15 @@ def test_estimate_chunking_is_seamless(lab_params):
     [("correlated", 61), ("blocked", 62), ("single_mode_a", 63), ("single_mode_dprime", 64)],
 )
 def test_estimate_matches_network_variance_per_kind(lab_params, kind, seed):
-    model, form = _trace_form(lab_params, kind)
+    handle, blocked = READ_OUTS[kind]
+    model, handles = build_network(dataclasses.replace(lab_params, channel_blocked=blocked))
+    form = getattr(handles, handle)
     est, se = estimate_variance(model, form, 200_000, seed=seed)
     assert abs(est - model.variance(form)) <= 4 * se
 
 
 # the public read-out each trace kind samples, as benchmarks/workloads.py checks it
-_READ_OUTS = {
+_PUBLIC = {
     "correlated": lambda p: run_experiment(p).v_plus,
     "blocked": lambda p: run_experiment(dataclasses.replace(p, channel_blocked=True)).v_plus,
     "single_mode_a": lambda p: single_mode_noise(p, "a"),
@@ -101,8 +115,7 @@ _READ_OUTS = {
 @pytest.mark.parametrize("kind", TRACE_KINDS)
 def test_trace_form_is_the_public_read_out(kind, gain):
     params = make_lab_params(gain=gain)
-    model, form = _trace_form(params, kind)
-    assert model.variance(form) / snl_reference() == _READ_OUTS[kind](params)
+    assert noise(params, kind) == _PUBLIC[kind](params)
 
 
 # -- traces ------------------------------------------------------------------------
@@ -173,8 +186,7 @@ def test_trace_metadata_records_provenance(lab_params):
 def test_trace_is_one_gamma_draw_per_point(lab_params):
     # point k is V times the k-th Gamma(n/2, scale 2/n) draw of one stream
     trace = render_trace(lab_params, "correlated", points=3, seed=14, n_per_point=500)
-    model, form = _trace_form(lab_params, "correlated")
-    v = model.variance(form) / snl_reference()
+    v = noise(lab_params, "correlated")
     draws = np.random.default_rng(14).gamma(500 / 2, 2 / 500, 3)
     assert trace.powers == [v * d for d in draws]
 
@@ -185,8 +197,7 @@ def test_trace_point_has_the_law_of_a_mean_of_squared_normals(lab_params, n, see
     stats = pytest.importorskip("scipy.stats")
     points = 4000
     trace = render_trace(lab_params, "correlated", points=points, seed=seed, n_per_point=n)
-    model, form = _trace_form(lab_params, "correlated")
-    v = model.variance(form) / snl_reference()
+    v = noise(lab_params, "correlated")
     powers = np.array(trace.powers) / v
     z = np.random.default_rng(seed + 1000).standard_normal((points, n))
     assert stats.ks_2samp(powers, np.mean(z * z, axis=1)).pvalue > 0.01
