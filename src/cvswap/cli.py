@@ -164,19 +164,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     r2s = np.linspace(args.r2[0], args.r2[1], args.steps)
     values = analytics.sweep_surface(params, r1s, r2s)
     # csv.writer's bytes: r1-major rows of repr floats, CRLF line ends; a block of
-    # grid rows at a time goes through the vectorized repr
+    # grid rows at a time goes through the vectorized repr, into one cell list
     r1_cells = floattext.repr_bytes(r1s, b",")
     r2_cells = floattext.repr_bytes(r2s, b",")
     cols = len(r2_cells)
     rows = max(1, SWEEP_BLOCK_CELLS // cols)
+    cells = [b""] * (3 * values[:rows].size)
+    cells[1::3] = r2_cells * len(values[:rows])
     with open(args.out, "wb") as fh:
         fh.write(b"r1,r2,v_snl\r\n")
         for start in range(0, len(r1_cells), rows):
             block = values[start:start + rows]
-            cells = [b""] * (3 * block.size)
+            del cells[3 * block.size:]  # the last block may be partial
             for i, r1_cell in enumerate(r1_cells[start:start + rows]):
                 cells[3 * cols * i:3 * cols * (i + 1):3] = [r1_cell] * cols
-            cells[1::3] = r2_cells * len(block)
             cells[2::3] = floattext.repr_bytes(block.ravel(), b"\r\n")
             fh.write(b"".join(cells))
     print(f"wrote {values.size} grid points to {args.out}")
@@ -207,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             g_config = swap.resolve_gain(config)
             point = [*(getattr(config, name) for name in _NUMERIC_FIELDS), g_config]
             rows, ahead = np.vstack((point, draws)), 1
-        params = _drawn_params(rows.T)
+        params = _drawn_params(rows.T) if len(draws) else config  # no one-row batch
         v_plus, v_minus, g_swap = swap.verification_variances(params)
         # the config point keeps its own scalar closed form (numpy's exp is not
         # math.exp), evaluated first so that it raises first; the batch's row 0 is dropped

@@ -391,13 +391,19 @@ def _csv_writer_grid(params, r1s, r2s) -> bytes:
     return expected.getvalue().encode()
 
 
-@pytest.mark.parametrize(("r1", "r2", "steps", "cells"), [
-    (("0.0", "1.5"), ("0.0", "1.5"), 2, "0.0,0.0,"),  # 2 x 2; zero takes repr's path
-    (("0", "40"), ("0", "40"), 9, "e+"),  # V >= 1e16 is written in exponent form
-    (("0.1", "1.3"), ("0.2", "0.9"), 70, ""),  # a full block of rows, then a partial one
+@pytest.mark.parametrize(("r1", "r2", "steps", "cells", "partial"), [
+    # 2 x 2; zero takes repr's path
+    pytest.param(("0.0", "1.5"), ("0.0", "1.5"), 2, "0.0,0.0,", True, id="r10-r20-2-0.0,0.0,"),
+    # V >= 1e16 is written in exponent form
+    pytest.param(("0", "40"), ("0", "40"), 9, "e+", True, id="r11-r21-9-e+"),
+    # a full block of rows, then a partial one
+    pytest.param(("0.1", "1.3"), ("0.2", "0.9"), 70, "", True, id="r12-r22-70-"),
+    (("0", "1.5"), ("0", "1.5"), 128, "", False),  # four full blocks of 32 rows
+    # one block whose values have 0 to 16 digits before the point, and exponent forms
+    (("0", "24"), ("0", "24"), 40, "e+16", True),
 ])
-def test_sweep_csv_is_csv_writer_bytes(config_path, tmp_path, r1, r2, steps, cells):
-    assert steps % (SWEEP_BLOCK_CELLS // steps)  # the last block of rows is partial
+def test_sweep_csv_is_csv_writer_bytes(config_path, tmp_path, r1, r2, steps, cells, partial):
+    assert bool(steps % (SWEEP_BLOCK_CELLS // steps)) == partial  # is the last block partial
     out = tmp_path / "grid.csv"
     argv = ["--r1", *r1, "--r2", *r2, "--steps", str(steps), "--out", str(out)]
     assert run(["sweep", "--config", config_path, *argv]) == EXIT_OK
@@ -551,7 +557,7 @@ def test_verify_counts_points_across_chunks(capsys, extra):
 
 
 def test_verify_builds_one_network_per_chunk(config_path, capsys, monkeypatch):
-    # the config point rides as one more row of the first chunk's build
+    # the config point rides as one more row of the first chunk's build, or alone
     shapes = []
     true_build = cvswap.swap.build_network
 
@@ -560,7 +566,7 @@ def test_verify_builds_one_network_per_chunk(config_path, capsys, monkeypatch):
         return true_build(params)
 
     monkeypatch.setattr(cvswap.swap, "build_network", counted)
-    for n, builds in ((200, [(201,)]), (0, [(1,)]),
+    for n, builds in ((200, [(201,)]), (0, [()]),
                       (2 * VERIFY_CHUNK + 1, [(VERIFY_CHUNK + 1,), (VERIFY_CHUNK,), (1,)])):
         shapes.clear()
         assert run(["verify", "--config", config_path, "--random", str(n)]) == EXIT_OK
