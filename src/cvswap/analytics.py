@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ExperimentParams, any_draw, check_gain, every_draw, finite
+from .params import ExperimentParams, any_draw, check_gain, every_draw, exp, finite
 
 _LN10 = math.log(10.0)
 
@@ -26,25 +26,25 @@ def variance_formula(params: ExperimentParams, g_swap):
     per draw.
     """
     feedforward = _check_gains(params, g_swap)
-    xp = np if params.batch_shape else math
     with np.errstate(all="ignore"):
-        value = _variance(params, params.r1, params.r2, g_swap, feedforward, xp)
+        value = _variance(params, params.r1, params.r2, g_swap, feedforward,
+                          np.exp if params.batch_shape else exp)
     return finite("closed form", value)
 
 
 def optimal_gain(params: ExperimentParams) -> float:
     """One point's normalized gain minimizing :func:`variance_formula`; 0 when unsqueezed."""
     params.one_point("optimal_gain")
-    return finite("optimal gain", _optimal_gain(params, params.r1, params.r2, math))
+    return finite("optimal gain", _optimal_gain(params, params.r1, params.r2, exp))
 
 
 # -- the closed form ----------------------------------------------------------
 #
 # Written once for scalar, grid and batch use: the parameters are either
-# floats (with xp = math) or arrays that broadcast against each other (with
-# xp = numpy). Every route keeps one overflow rule: evaluate silently (numpy
-# under errstate(all="ignore")), then check the result once with
-# params.finite. Only math.exp raises by itself, past the float range.
+# floats (with params.exp, libm's exp and inf past the float range) or arrays
+# that broadcast against each other (with numpy's exp). Every route keeps one
+# overflow rule: evaluate silently (numpy under errstate(all="ignore")), then
+# check the result once with params.finite.
 
 
 def _check_gains(params: ExperimentParams, g_swap):
@@ -56,7 +56,7 @@ def _check_gains(params: ExperimentParams, g_swap):
     return feedforward
 
 
-def _variance(params: ExperimentParams, r1, r2, g_swap, feedforward, xp):
+def _variance(params: ExperimentParams, r1, r2, g_swap, feedforward, exp):
     """The verification-stage variance.
 
     The closed form keeps its specific efficiency dressing on purpose; do not
@@ -65,8 +65,7 @@ def _variance(params: ExperimentParams, r1, r2, g_swap, feedforward, xp):
     """
     x1, x2, x3, x4 = params.xi1, params.xi2, params.xi3, params.xi4
     eta = params.eta
-    sqrt_r = xp.sqrt(params.mirror_R)
-    exp = xp.exp
+    sqrt_r = np.sqrt(params.mirror_R) if params.batch_shape else math.sqrt(params.mirror_R)
 
     v = (0.25 * (eta * x3 - g_swap * eta * x4) ** 2 * exp(2.0 * r1)
          + 0.25 * (sqrt_r * eta * x2 * x4 - g_swap * eta * x4) ** 2 * exp(2.0 * r2)
@@ -82,11 +81,10 @@ def _variance(params: ExperimentParams, r1, r2, g_swap, feedforward, xp):
     return v
 
 
-def _optimal_gain(params: ExperimentParams, r1, r2, xp):
+def _optimal_gain(params: ExperimentParams, r1, r2, exp):
     """The gain minimizing :func:`_variance` at each (r1, r2)."""
     if params.xi4 == 0:
         raise ValueError("degenerate gain denominator (xi4 = 0): no beam to displace")
-    exp = xp.exp
     e2r1, e2r2 = exp(2.0 * r1), exp(2.0 * r2)
     e4r1, e4r2 = exp(4.0 * r1), exp(4.0 * r2)
     e2r12 = exp(2.0 * (r1 + r2))
@@ -205,9 +203,9 @@ def sweep_surface(
         raise ValueError("squeezing parameters must be >= 0")
     r1, r2 = r1s[:, None], r2s[None, :]
     with np.errstate(all="ignore"):
-        gains = finite("optimal gain", _optimal_gain(params, r1, r2, np))
+        gains = finite("optimal gain", _optimal_gain(params, r1, r2, np.exp))
         feedforward = _check_gains(params, gains)
-        values = finite("closed form", _variance(params, r1, r2, gains, feedforward, np))
+        values = finite("closed form", _variance(params, r1, r2, gains, feedforward, np.exp))
     # predict's rule for every cell: the largest gain needs the largest electronic gain
     electronic_gain(gains.max(), params.mirror_R, params.eta, params.xi1)
     return values

@@ -303,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", default=100, help="displayed points (default 100)", type=_bounded(
         int, 1, MAX_ARRAY_FLOATS, "one float per point must fit one array"))
     p.add_argument("--n-per-point", type=_bounded(int, 1, sys.float_info.max, "the largest float"),
+                   default=montecarlo.DEFAULT_N_PER_POINT,
                    help=f"samples averaged per point (default {montecarlo.DEFAULT_N_PER_POINT})")
     return parser
 

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .params import any_draw, check_unit, finite
+from .params import EXP_MAX, any_draw, check_unit, exp, finite
 
 __all__ = ["GaussianModel"]
 
@@ -55,16 +55,17 @@ _VACUUM_ROWS = np.eye(2)
 
 
 def _exp(factor: float, x):
-    """``math.exp(factor * x)`` elementwise.
+    """:func:`params.exp` of ``factor * x``, elementwise: libm's ``exp``.
 
     numpy's ``exp`` differs from libm's in the last ulp on some inputs, and a
-    draw must give the same bits inside a batch as alone. A product past the
-    float range is inf in a batch as in one point's float arithmetic, silently.
+    draw must give the same bits inside a batch as alone. A product or an exp
+    past the float range is inf in a batch as in one point, silently.
     """
     if not isinstance(x, np.ndarray):
-        return math.exp(factor * float(x))  # a numpy scalar would warn on overflow
+        return exp(factor * float(x))  # a numpy scalar would warn on overflow
     with np.errstate(over="ignore"):
         x = factor * x
+    x = np.where(x > EXP_MAX, math.inf, x)  # where math.exp would raise
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 

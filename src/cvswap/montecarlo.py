@@ -37,7 +37,7 @@ import yaml
 
 from . import swap
 from .gaussian import GaussianModel
-from .params import ExperimentParams
+from .params import ExperimentParams, finite
 
 RBW_HZ = 10_000.0
 VBW_HZ = 30.0
@@ -99,10 +99,8 @@ def estimate_variance(
         sum_quad += float((squares * squares).sum())
     mean_sq = sum_sq / n
     var_of_sq = max(sum_quad - n * mean_sq * mean_sq, 0.0) / (n - 1)
-    v = model.variance(form)
-    if math.isinf(v * mean_sq):  # the standard error, at most the mean, is then finite
-        raise OverflowError(f"sampled variance {v!r} * {mean_sq!r} overflows")
-    return v * mean_sq, v * math.sqrt(var_of_sq / n)
+    v = model.variance(form)  # the standard error, at most the estimate, is finite with it
+    return finite("sampled variance", v * mean_sq), v * math.sqrt(var_of_sq / n)
 
 
 def render_trace(
@@ -110,14 +108,12 @@ def render_trace(
     kind: str,
     points: int,
     seed: int,
-    n_per_point: int | None = None,
+    n_per_point: int = DEFAULT_N_PER_POINT,
 ) -> TraceSeries:
     """Render a noise trace of ``points`` displayed averages for one trace kind."""
     params.one_point("render_trace")
     if points < 1:
         raise ValueError(f"need at least 1 point, got {points}")
-    if n_per_point is None:
-        n_per_point = DEFAULT_N_PER_POINT
     if n_per_point < 1:
         raise ValueError(f"n_per_point must be >= 1, got {n_per_point}")
 
@@ -125,8 +121,7 @@ def render_trace(
     # point k is V * chi2_n / n; float products, so an overflow is inf, not a warning
     draws = np.random.default_rng(seed).gamma(n_per_point / 2, 2 / n_per_point, points)
     powers = [v * draw for draw in draws.tolist()]
-    if math.inf in powers:
-        raise OverflowError(f"point {powers.index(math.inf)} power overflows: V = {v!r}")
+    finite("trace power", max(powers))
 
     metadata = {
         "kind": kind,
@@ -183,16 +178,14 @@ def _tree(shape: tuple, slot: str | None) -> dict:
 
 
 @functools.lru_cache(maxsize=32)
-def _layout(shape: tuple) -> str:
-    """The sidecar text of all metadata of layout ``shape``, ``%s`` in each slot: a slot's
-    one plain token ends its line and sets no other line's layout, so ``safe_dump`` writes
-    the layout once, with a marker token in each slot that no key or string leaf writes."""
-    slots: list[str] = []
-    _shape(_tree(shape, None), slots)  # one text per slot
+def _layout(shape: tuple, slots: int) -> str:
+    """The sidecar text of metadata of layout ``shape``, ``%s`` in each of its ``slots`` slots:
+    a slot's one plain token ends its line and sets no other line's layout, so ``safe_dump``
+    writes the layout once, with a marker token in each slot that no key or string leaf writes."""
     for attempt in itertools.count():
         slot = f"slot{attempt}"
         text = yaml.safe_dump(_tree(shape, slot), sort_keys=True)
-        if text.count(slot) == len(slots):
+        if text.count(slot) == slots:
             return text.replace("%", "%%").replace(slot, "%s")
 
 
@@ -200,7 +193,7 @@ def write_trace_csv(trace: TraceSeries, path: str | Path) -> Path:
     """Write the trace as CSV plus a YAML metadata sidecar; returns the sidecar path."""
     path = Path(path)
     texts: list[str] = []  # metadata outside the tree raises before either file is opened
-    layout = _layout(_shape(trace.metadata, texts))
+    layout = _layout(_shape(trace.metadata, texts), len(texts))
     # csv.writer's bytes for [index, repr(dB)] rows: no cell needs quoting
     rows = [f"{index},{10.0 * math.log10(power)!r}\r\n"
             for index, power in enumerate(trace.powers)]

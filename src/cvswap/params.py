@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+EXP_MAX = math.log(np.finfo(float).max)  # math.exp is finite here and raises one ulp above
+
 # ``np.any`` / ``np.all`` take about 3 us on a plain bool, and a one-point
 # network build makes about 30 such checks; these take 0.1 us there.
 
@@ -30,6 +32,11 @@ def finite(quantity: str, value):
     elif not np.isfinite(value).all():
         raise OverflowError(f"{quantity} is inf or nan")
     return value if type(value) is float or getattr(value, "ndim", 0) else float(value)
+
+
+def exp(x: float) -> float:
+    """``math.exp(x)``, silently inf past the float range: :func:`finite` checks the result."""
+    return math.inf if x > EXP_MAX else math.exp(x)
 
 
 def shown(value) -> str:

@@ -625,7 +625,10 @@ _REJECTED = [
     ((("xi1_sq: 0.970", "xi1_sq: 0"), (_OPTIMAL, "mode: fixed\n  value: 0.7")),
      "physics rejection: eta and xi1 must be > 0 to set an electronic gain\n"),
     ((("r1: 0.564", "r1: 200"), ("r2: 0.587", "r2: 1")),
-     "physics rejection: result outside floating-point range (OverflowError: math range error)\n"),
+     "physics rejection: result outside floating-point range "
+     "(OverflowError: optimal gain evaluates to nan)\n"),
+    # exp(4 r1) past the float range: inf, silently, in the network as in the closed form
+    ((("r1: 0.564", "r1: 400"), ("# blocked: true", "blocked: true")), _COVARIANCE_OVERFLOW),
     (((_OPTIMAL, "mode: fixed\n  value: 1e300"),), _COVARIANCE_OVERFLOW),
     # 2 r overflows to inf: silently, for one point and in a batch
     ((("r2: 0.587", "r2: 1e308"), ("# blocked: true", "blocked: true")), _COVARIANCE_OVERFLOW),
@@ -799,7 +802,8 @@ def test_montecarlo_near_the_float_range_is_finite_or_exits_3(tmp_path, lab_conf
     captured = capsys.readouterr()
     if gain == "1.02e154":
         assert code == EXIT_PHYSICS
-        assert "result outside floating-point range" in captured.err
+        assert captured.err == ("physics rejection: result outside floating-point range "
+                                "(OverflowError: trace power evaluates to inf)\n")
         assert not out.exists() and not out.with_suffix(".meta.yaml").exists()
         return
     assert code == EXIT_OK
@@ -882,10 +886,12 @@ def test_edge_configs_exit_cleanly_and_print_no_inf_or_nan(tmp_path_factory, con
     ]
     for command in commands:
         out.unlink(missing_ok=True)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run([*command, "--config", str(path)])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS, EXIT_VERIFY), command
+        # libm's exp past the float range is inf, and the result's check names the quantity
+        assert "math range error" not in stderr.getvalue(), (command, stderr.getvalue())
         texts = [stdout.getvalue().replace(str(workdir), "")]
         if code == EXIT_OK and out.exists():
             texts.append(out.read_text())

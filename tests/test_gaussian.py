@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cvswap import GaussianModel
+from cvswap.gaussian import _exp
+from cvswap.params import EXP_MAX, exp
 from conftest import grow
 
 SQRT2 = math.sqrt(2.0)
@@ -469,6 +471,21 @@ def test_non_finite_covariance_is_overflow_error():
     for m in (loud, squeezed):
         with pytest.raises(OverflowError, match="inf or nan"):
             m.variance(m.x_form("v"))
+
+
+def test_exp_is_libm_exp_and_silently_inf_past_the_float_range():
+    below, above = math.nextafter(EXP_MAX, 0.0), math.nextafter(EXP_MAX, math.inf)
+    assert exp(below) == math.exp(below) and exp(EXP_MAX) == math.exp(EXP_MAX) < math.inf
+    with pytest.raises(OverflowError):
+        math.exp(above)
+    assert exp(above) == exp(math.inf) == math.inf
+    assert math.isnan(exp(math.nan))
+    # a batch with one row past the float range: that row is inf, every other keeps its bits
+    r = np.array([0.3, 0.5641, above / 2.0, 1.2, EXP_MAX / 2.0])
+    for factor in (-2.0, 2.0):
+        batch = _exp(factor, r)
+        assert batch.tolist() == [_exp(factor, x) for x in r.tolist()]
+    assert _exp(2.0, r)[2] == math.inf and _exp(2.0, r)[4] == math.exp(EXP_MAX)
 
 
 def test_form_taken_before_later_loss_keeps_its_variance():
