@@ -25,25 +25,9 @@ from .swap import build_network, run_experiment, snl_reference
 __version__ = "0.5.0"
 
 __all__ = [
-    "ConfigError",
-    "ConfigFile",
-    "ExperimentParams",
-    "GainSpec",
-    "GaussianModel",
-    "VarianceReport",
-    "build_network",
-    "db_from_linear",
-    "duan_verdict",
-    "electronic_gain",
-    "enl_correct",
-    "estimate_variance",
-    "optimal_gain",
-    "preserved_fraction",
-    "r_from_db",
-    "render_trace",
-    "run_experiment",
-    "snl_reference",
-    "sweep_surface",
-    "variance_formula",
-    "write_trace_csv",
+    "ConfigError", "ConfigFile", "ExperimentParams", "GainSpec", "GaussianModel",
+    "VarianceReport", "build_network", "db_from_linear", "duan_verdict",
+    "electronic_gain", "enl_correct", "estimate_variance", "optimal_gain",
+    "preserved_fraction", "r_from_db", "render_trace", "run_experiment",
+    "snl_reference", "sweep_surface", "variance_formula", "write_trace_csv",
 ]

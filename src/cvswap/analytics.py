@@ -26,9 +26,12 @@ def variance_formula(params: ExperimentParams, g_swap):
     per draw.
     """
     feedforward = _check_gains(params, g_swap)
-    with np.errstate(all="ignore"):
-        value = _variance(params, params.r1, params.r2, g_swap, feedforward,
-                          np.exp if params.batch_shape else exp)
+    try:
+        with np.errstate(all="ignore"):
+            value = _variance(params, params.r1, params.r2, g_swap, feedforward,
+                              np.exp if params.batch_shape else exp)
+    except OverflowError:  # a float ``**`` raises past the float range, where numpy's is inf
+        value = math.inf
     return finite("closed form", value)
 
 

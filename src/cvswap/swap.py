@@ -35,7 +35,7 @@ from . import analytics
 from .gaussian import GaussianModel
 from .params import ExperimentParams, VarianceReport, any_draw
 
-_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # five modes of two rows each; two pairs of four sources each, and one vacuum
 # mode and nine losses of two each
@@ -48,17 +48,22 @@ class NetworkHandles:
 
     Every read-out of the station map is one of these forms: the joint
     measurement's currents, the verification currents on a and d', and the
-    amplitude quadrature of a or d' alone. Compared by identity: the forms are
-    arrays, which have no single truth value for a field-by-field ``==``.
+    amplitude quadrature of a or d' alone; those on a and d' are scattered out
+    of ``model`` when read. Compared by identity: the forms are arrays, which
+    have no single truth value for a field-by-field ``==``.
     """
 
-    i_plus: np.ndarray        # amplitude-sum photocurrent of the joint measurement
-    i_minus: np.ndarray       # phase-difference photocurrent
-    victor_plus: np.ndarray   # verification amplitude-sum current
-    victor_minus: np.ndarray  # verification phase-difference current
-    a: np.ndarray             # amplitude quadrature of the untouched beam a alone
-    dprime: np.ndarray        # amplitude quadrature of the displaced beam d' alone
+    i_plus: np.ndarray          # amplitude-sum photocurrent of the joint measurement
+    i_minus: np.ndarray         # phase-difference photocurrent
     g_swap: float | np.ndarray  # one per draw on a batch
+    model: GaussianModel        # the frozen network the forms below are read from
+    # verification amplitude-sum and phase-difference currents, then the
+    # amplitude quadrature of the untouched beam a and of the displaced beam d' alone
+    victor_plus = property(lambda self: (self.a + self.dprime) * _SQRT_HALF)
+    victor_minus = property(
+        lambda self: (self.model.y_form("a") - self.model.y_form("d")) * _SQRT_HALF)
+    a = property(lambda self: self.model.x_form("a"))
+    dprime = property(lambda self: self.model.x_form("d"))
 
 
 # each trace kind's NetworkHandles form and whether the channel is cut first; "snl" is 1
@@ -75,7 +80,7 @@ def snl_reference() -> float:
     process, since it depends on no parameter.
     """
     m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
-    return m.variance((m.x_form("v1") + m.x_form("v2")) * (1.0 / _SQRT2))
+    return m.variance((m.x_form("v1") + m.x_form("v2")) * _SQRT_HALF)
 
 
 def resolve_gain(params: ExperimentParams):
@@ -104,7 +109,7 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
 
     # transmission to the joint measurement, then the 50:50 mixing
     net.loss("b", params.xi1).loss("c", params.xi1)
-    net.beamsplitter(("b", "c"), 1.0 / _SQRT2)  # b -> sum port, c -> difference port
+    net.beamsplitter(("b", "c"), _SQRT_HALF)  # b -> sum port, c -> difference port
 
     # detector efficiency on both outputs, then the two photocurrents;
     # the negative power combiner flips the difference port so that
@@ -135,18 +140,7 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     net.loss("a", params.xi3).loss("d", params.xi4)
     net.loss("a", params.eta).loss("d", params.eta)
     m = net.freeze()
-
-    k = 1.0 / _SQRT2
-    a, dprime = m.x_form("a"), m.x_form("d")
-    return m, NetworkHandles(
-        i_plus=i_plus,
-        i_minus=i_minus,
-        victor_plus=(a + dprime) * k,
-        victor_minus=(m.y_form("a") - m.y_form("d")) * k,
-        a=a,
-        dprime=dprime,
-        g_swap=g_swap,
-    )
+    return m, NetworkHandles(i_plus=i_plus, i_minus=i_minus, g_swap=g_swap, model=m)
 
 
 def verification_variances(params: ExperimentParams):

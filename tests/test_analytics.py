@@ -225,9 +225,12 @@ def test_enl_correction_outside_float_range_is_overflow_error():
 
 
 def test_closed_form_overflow_names_the_closed_form(lab_params):
-    # (g eta xi4)^2 = 8e199 and exp(2 r1) = 5e173 are finite, their product is not
-    with pytest.raises(OverflowError, match="^closed form evaluates to inf$"):
-        variance_formula(replace(lab_params, r1=200.0), 1e100)
+    # (g eta xi4)^2 = 8e199 and exp(2 r1) = 5e173 are finite, their product is not;
+    # at the lab point a gain above about 1.3e154 squares past the float range itself
+    for params, gain in ((replace(lab_params, r1=200.0), 1e100), (lab_params, 1e160),
+                         (lab_params, 1e300)):
+        with pytest.raises(OverflowError, match="^closed form evaluates to inf$"):
+            variance_formula(params, gain)
 
 
 def test_enl_correction_identity_for_deep_floor():

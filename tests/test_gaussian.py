@@ -166,10 +166,10 @@ def test_beamsplitter_preserves_total_variance(t, ra, rb):
 def test_loss_identity():
     m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), 0.4).freeze()
     out = grow(m, "loss", "a", 1.0)
-    n = m.variances.size
-    assert out.rows[:, :n].tobytes() == m.rows.tobytes()
-    assert not out.rows[:, n:].any()
-    assert out.variances.size == n + 2
+    n = m.variances.shape[1]  # sources per quadrature
+    assert out.rows[:, :, :n].tobytes() == m.rows.tobytes()
+    assert not out.rows[:, :, n:].any()
+    assert out.variances.shape == (2, n + 1)
 
 
 def test_loss_blackout_gives_vacuum():
@@ -382,7 +382,7 @@ def test_elements_leave_parent_arrays_unchanged():
         net.beamsplitter(("a", "c"), 0.6 * scale).loss("b", 0.7 * scale)
         net.displace_by_form("d", m.x_form("a"), m.y_form("b"), 0.4 * scale)
         assert not any(np.array_equal(child.rows, rows) for child in children)
-        assert not np.array_equal(net.freeze().rows[: len(rows), : len(variances)], rows)
+        assert not np.array_equal(net.freeze().rows[:, : rows.shape[1], : rows.shape[2]], rows)
         assert m.rows.tobytes() == rows.tobytes()
         assert m.variances.tobytes() == variances.tobytes()
         assert m.labels == labels
@@ -394,12 +394,13 @@ def test_batched_arrays_are_c_contiguous_with_draws_last():
     net = GaussianModel.empty(draws.shape).builder(8, 8)
     m = net.add_epr_pair(("a", "b"), 0.3 * draws).add_epr_pair(("c", "d"), 0.2).freeze()
     for model in [m, *_every_element(m, draws)]:
-        n_rows, n_sources = len(model.rows), len(model.variances)
+        n_modes, n_sources = model.rows.shape[1:3]  # sources per quadrature
         assert model.batch_shape == draws.shape
-        assert model.rows.shape == (n_rows, n_sources, *draws.shape)
-        assert model.variances.shape == (n_sources, *draws.shape)
+        assert model.rows.shape == (2, n_modes, n_sources, *draws.shape)
+        assert model.variances.shape == (2, n_sources, *draws.shape)
+        assert model.order.shape == (2, n_sources)
         assert model.rows.flags.c_contiguous and model.variances.flags.c_contiguous
-        assert model.x_form("a").shape == (n_sources, *draws.shape)
+        assert model.x_form("a").shape == (2 * n_sources, *draws.shape)
 
 
 def _four_modes(batch) -> GaussianModel:
@@ -421,7 +422,7 @@ def _elements_with(m: GaussianModel, value) -> list:
 def test_empty_model_fixes_the_batch_shape():
     for batch in [(), (4,), (2, 3)]:
         m = GaussianModel.empty(batch)
-        assert m.variances.shape == (0, *batch) and m.rows.shape == (0, 0, *batch)
+        assert m.variances.shape == (2, 0, *batch) and m.rows.shape == (2, 0, 0, *batch)
         for model in [grow(m, "add_vacuum_mode", "v"), *_every_element(_four_modes(batch))]:
             assert model.batch_shape == batch
 
@@ -463,6 +464,24 @@ def test_batched_form_on_a_point_model_is_rejected():
         grow(point, "displace_by_form", "d", form, form, 0.5)
 
 
+def test_displacement_by_the_other_quadrature_is_rejected():
+    # no element mixes x and y: an x row takes an x form, a y row a y form
+    for batch in [(), (4,)]:
+        m = _four_modes(batch)
+        with pytest.raises(ValueError, match="x_add has coefficients on y sources"):
+            grow(m, "displace_by_form", "d", m.y_form("a"), m.y_form("b"), 0.5)
+        with pytest.raises(ValueError, match="y_add has coefficients on x sources"):
+            grow(m, "displace_by_form", "d", m.x_form("a"), m.x_form("b"), 0.5)
+        # a pair's sources are x sum, x diff, y sum, y diff: widths 2 and 3 end inside it
+        with pytest.raises(ValueError, match="x_add has coefficients on y sources"):
+            grow(m, "displace_by_form", "d", m.x_form("a") + m.y_form("b"), m.y_form("b"), 0.5)
+        x_add, y_add = m.x_form("a")[:2], m.y_form("b")[:3]
+        fed = grow(m, "displace_by_form", "d", x_add, y_add, 0.5)
+        assert fed.x_form("d")[:2].tobytes() == (m.x_form("d")[:2] + x_add * 0.5).tobytes()
+        assert fed.y_form("d")[:3].tobytes() == (m.y_form("d")[:3] + y_add * 0.5).tobytes()
+        assert fed.x_form("d")[2:].tobytes() == m.x_form("d")[2:].tobytes()
+
+
 def test_non_finite_covariance_is_overflow_error():
     v = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v").freeze()
     loud = grow(v, "displace_by_form", "v", v.x_form("v"), v.y_form("v"), 1e300)  # variance 1e600
@@ -492,16 +511,19 @@ def test_form_taken_before_later_loss_keeps_its_variance():
     net = GaussianModel.empty().builder(8, 8)
     m = net.add_epr_pair(("a", "b"), 0.564).add_epr_pair(("c", "d"), 0.587).freeze()
     current = (m.x_form("b") + m.x_form("c")) * (1 / SQRT2)
+    y_current = (m.y_form("b") - m.y_form("c")) * (1 / SQRT2)
     later = m.builder(0, 4).loss("b", 0.8).loss("d", 0.6).freeze()
     assert later.variances.size > current.size
     assert later.variance(current) == m.variance(current)
     assert later.covariance(current, later.x_form("d")) == pytest.approx(
         0.6 * m.covariance(current, m.x_form("d")), rel=1e-12
     )
-    fed = grow(later, "displace_by_form", "a", current, current, 1.0)
+    fed = grow(later, "displace_by_form", "a", current, y_current, 1.0)
     n = current.size
     assert np.array_equal(fed.x_form("a")[:n], later.x_form("a")[:n] + current)
     assert np.array_equal(fed.x_form("a")[n:], later.x_form("a")[n:])
+    assert np.array_equal(fed.y_form("a")[:n], later.y_form("a")[:n] + y_current)
+    assert np.array_equal(fed.y_form("a")[n:], later.y_form("a")[n:])
 
 
 # -- the builder ----------------------------------------------------------------------
@@ -512,7 +534,7 @@ def test_form_taken_mid_build_is_a_snapshot():
         net = GaussianModel.empty(np.shape(scale)).builder(6, 8)
         net.add_epr_pair(("a", "b"), 0.5 * scale).add_vacuum_mode("v")
         x_a, y_a = net.x_form("a"), net.y_form("a")
-        taken = x_a.copy(), y_a.copy()
+        taken, taken_variance = (x_a.copy(), y_a.copy()), net.variance(x_a)
         net.loss("a", 0.6 * scale).beamsplitter(("a", "v"), 0.8)
         m = net.freeze()
         assert x_a.tobytes() == taken[0].tobytes() and y_a.tobytes() == taken[1].tobytes()
@@ -520,6 +542,7 @@ def test_form_taken_mid_build_is_a_snapshot():
         before = GaussianModel.empty(np.shape(scale)).builder(6, 6)
         before = before.add_epr_pair(("a", "b"), 0.5 * scale).add_vacuum_mode("v").freeze()
         assert np.array_equal(m.variance(x_a), before.variance(x_a))
+        assert np.array_equal(m.variance(x_a), taken_variance)  # on the builder, then frozen
 
 
 def test_builder_freezes_only_at_its_declared_size():
@@ -532,7 +555,7 @@ def test_builder_freezes_only_at_its_declared_size():
     with pytest.raises(RuntimeError, match=r"outgrows the \(4, 6\)"):
         net.add_vacuum_mode("v")
     m = net.freeze()
-    assert m.rows.shape == (4, 6) and m.variances.shape == (6,)
+    assert m.rows.shape == (2, 2, 3) and m.variances.shape == (2, 3)
     with pytest.raises(ValueError, match="read-only"):
         net.beamsplitter(("a", "b"), 0.5)  # a frozen builder's arrays are the model's
 

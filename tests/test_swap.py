@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -236,7 +237,7 @@ def test_batch_draw_past_the_float_range_builds_like_its_point():
                                          ("r2", "xi1", "xi2", "xi3", "xi4", "eta", "mirror_R"))]
     batch = ExperimentParams(*physics, gain=GainSpec("fixed", 0.0), channel_blocked=True)
     model, _ = build_network(batch)
-    assert np.isinf(model.variances[:, 1]).any()
+    assert np.isinf(model.variances[..., 1]).any()
     for k in range(2):
         one = ExperimentParams(*(column[k].item() for column in physics),
                                gain=GainSpec("fixed", 0.0), channel_blocked=True)
@@ -486,7 +487,7 @@ def test_builder_matches_the_frozen_element_chain_on_a_2d_batch():
     built = _swap_elements(GaussianModel.empty((3, 5)).builder(10, 28), p, lambda t: gain).freeze()
     start = _ElementByElement(GaussianModel.empty((3, 5)))
     chain = _swap_elements(start, p, lambda t: gain).model
-    assert built.rows.shape == (10, 28, 3, 5)
+    assert built.rows.shape == (2, 5, 14, 3, 5)
     assert built.rows.tobytes() == chain.rows.tobytes()
     assert built.variances.tobytes() == chain.variances.tobytes()
 
@@ -512,3 +513,19 @@ def test_built_network_arrays_are_read_only(lab_params):
         for array in (model.rows, model.variances, model.x_form("a"), model.y_form("d")):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7.0
+
+
+def test_verification_footprint_of_a_verify_batch():
+    # verify --random 200's first batch: 200 draws and the config point. Stored
+    # per quadrature, its traced peak is about 630 KB; one dense row per
+    # quadrature over all sources took about 860 KB
+    *physics, g_swap = np.random.default_rng(67).uniform(DRAW_LOW, DRAW_HIGH, size=(201, 9)).T
+    batch = ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))
+    verification_variances(batch)  # fills the process-wide caches first
+    tracemalloc.start()
+    try:
+        verification_variances(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 680 * 1024
