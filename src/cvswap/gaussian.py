@@ -2,12 +2,13 @@
 
 Each source is zero-mean Gaussian noise on one quadrature, and no element mixes
 x and y (a phase rotation would, and would need one dense row per quadrature
-over all sources back). So a model holds an x and a y plane: ``variances`` has
-shape ``(2, S/2, *batch)``, one entry per source of each plane; ``rows``
-``(2, modes, S/2, *batch)``, one row per optical mode over its plane's sources;
-``order`` the creation-order index of each plane's sources; and ``labels`` maps
-each mode label to its row. A quadrature form, from :meth:`GaussianModel.x_form`
-or ``y_form``, is a row scattered out of its plane: shape ``(S, *batch)`` over
+over all sources back). So a model holds ``variances``, shape ``(S, *batch)``,
+one entry per source in creation order; ``rows`` ``(2, modes, S/2, *batch)``,
+an x and a y plane with one row per optical mode over that plane's sources;
+``order`` ``(2, S/2)``, the creation-order index of each plane column, so a
+plane's variances are ``variances[order[p]]``; and ``labels`` maps each mode
+label to its row. A quadrature form, from :meth:`GaussianModel.x_form` or
+``y_form``, is a row scattered out of its plane: shape ``(S, *batch)`` over
 the sources that existed when it was taken, in creation order, so it stays
 valid on every later model of the same network (the sources added since are
 zero in it). The draws are innermost in memory. The batch shape is fixed when
@@ -67,7 +68,7 @@ def _interleaved(columns: int) -> np.ndarray:
 
 
 class GaussianModel:
-    """Per-quadrature source variances plus the coefficient rows of every live mode.
+    """Creation-order source variances plus the per-quadrature rows of every live mode.
 
     Grow a network on a :meth:`builder` of :meth:`empty`: each element checks
     its arguments, writes in place and returns the model, so elements chain.
@@ -81,7 +82,7 @@ class GaussianModel:
 
     @classmethod
     def empty(cls, batch_shape: tuple[int, ...] = ()) -> GaussianModel:
-        return cls(np.empty((2, 0, *batch_shape)), np.empty((2, 0, 0, *batch_shape)),
+        return cls(np.empty((0, *batch_shape)), np.empty((2, 0, 0, *batch_shape)),
                    np.empty((2, 0), np.intp), {}, (0, 0), 0, 0).freeze()
 
     def builder(self, new_rows: int, new_sources: int) -> GaussianModel:
@@ -91,11 +92,11 @@ class GaussianModel:
         room = (n_rows + new_rows, n_sources + new_sources)
         m, n, columns = n_rows // 2, n_sources // 2, room[1] // 2
         rows = np.zeros((2, room[0] // 2, columns, *self.batch_shape))
-        variances = np.zeros((2, columns, *self.batch_shape))
+        variances = np.zeros((room[1], *self.batch_shape))
         order = _interleaved(columns).copy()  # see _claim
         if n_sources:  # an empty model has nothing to copy
             rows[:, :m, :n] = self.rows[:, :m, :n]
-            variances[:, :n], order[:, :n] = self.variances[:, :n], self.order[:, :n]
+            variances[:n_sources], order[:, :n] = self.variances[:n_sources], self.order[:, :n]
         return GaussianModel(variances, rows, order, dict(self.labels), room, n_rows, n_sources)
 
     def freeze(self) -> GaussianModel:
@@ -105,14 +106,13 @@ class GaussianModel:
                                f"sources of the {self._room} it declared")
         for array in (self.variances, self.rows, self.order):
             array.setflags(write=False)
-        self._in_order = self._scatter(self.order, self.variances)  # for covariance
         return self
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        return self.variances.shape[2:]
+        return self.variances.shape[1:]
 
     def _mode(self, label: str) -> int:
         try:
@@ -127,15 +127,13 @@ class GaussianModel:
         return self._form(1, label)
 
     def _form(self, plane: int, label: str) -> np.ndarray:
+        """A plane row at its sources' creation-order indices, zero elsewhere;
+        read-only once frozen."""
         n = self._n_sources // 2
-        return self._scatter(self.order[plane, :n], self.rows[plane, self._mode(label), :n])
-
-    def _scatter(self, order: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``values`` at creation-order indices ``order``, zero elsewhere: read-only once frozen."""
-        out = np.zeros((self._n_sources,) + self.variances.shape[2:])
-        out[order] = values
-        out.setflags(write=self.rows.flags.writeable)
-        return out
+        form = np.zeros((self._n_sources, *self.batch_shape))
+        form[self.order[plane, :n]] = self.rows[plane, self._mode(label), :n]
+        form.setflags(write=self.rows.flags.writeable)
+        return form
 
     def _width(self, form: np.ndarray) -> int:
         if form.shape[1:] != self.batch_shape:
@@ -151,15 +149,12 @@ class GaussianModel:
     def covariance(self, f1: np.ndarray, f2: np.ndarray):
         """Covariance of two forms: a float, or an array over the batch; never inf or nan."""
         k = min(self._width(f1), self._width(f2))
-        n = self._n_sources // 2
-        variances = (self._scatter(self.order[:, :n], self.variances[:, :n])
-                     if self.rows.flags.writeable else self._in_order)[:k]
         # ``.T`` puts the source axis last (the final ``.T`` restores the batch
         # order). On contiguous rows vecdot runs the same dot product per draw
         # that 1-D ``@`` runs on one point, so a batch agrees with its draws bit
         # for bit (``.sum(0)`` does not, nor does a dot over strided rows)
         with np.errstate(all="ignore"):
-            weighted = np.ascontiguousarray((f1[:k] * variances).T)
+            weighted = np.ascontiguousarray((f1[:k] * self.variances[:k]).T)
             return finite("covariance", np.vecdot(weighted, np.ascontiguousarray(f2[:k].T)).T)
 
     def variance(self, form: np.ndarray):
@@ -178,7 +173,8 @@ class GaussianModel:
     def _claim(self, n_rows: int, n_sources: int) -> tuple[int, int]:
         """The first mode and plane column of the next ``n_rows`` rows and ``n_sources``
         sources, now in use. A builder's ``order`` puts source 2c in x column c and
-        2c + 1 in y column c; only a squeezed pair rewrites it."""
+        2c + 1 in y column c; only a squeezed pair rewrites it. Either way column c's
+        sources are ``variances[2c : 2c + 2]``."""
         i, s = self._n_rows, self._n_sources
         if i + n_rows > self._room[0] or s + n_sources > self._room[1]:
             raise RuntimeError(f"network outgrows the {self._room} rows and "
@@ -195,7 +191,7 @@ class GaussianModel:
         if label in self.labels:
             raise ValueError(f"mode label {label!r} already in use")
         i, c = self._claim(2, 2)
-        self.variances[:, c] = self.rows[:, i, c] = 1.0
+        self.variances[2 * c : 2 * c + 2] = self.rows[:, i, c] = 1.0
         self.labels[label] = i
         return self
 
@@ -219,8 +215,8 @@ class GaussianModel:
         # sources x sum, x diff, y sum, y diff in creation order; each plane's
         # a row is (sum + diff) / sqrt2 and its b row (sum - diff) / sqrt2
         self.order[0, c + 1], self.order[1, c] = 2 * c + 1, 2 * c + 2
-        self.variances[0, c] = self.variances[1, c + 1] = quiet
-        self.variances[0, c + 1] = self.variances[1, c] = loud
+        self.variances[2 * c] = self.variances[2 * c + 3] = quiet
+        self.variances[2 * c + 1 : 2 * c + 3] = loud
         self.rows[:, i : i + 2, c : c + 2] = _SQRT_HALF
         self.rows[:, i + 1, c + 1] = -_SQRT_HALF
         self.labels.update({la: i, lb: i + 1})
@@ -248,7 +244,7 @@ class GaussianModel:
         xi = self._param(xi)
         i = self._mode(label)
         _, c = self._claim(0, 2)
-        self.variances[:, c] = 1.0
+        self.variances[2 * c : 2 * c + 2] = 1.0
         self.rows[:, i, :c] *= xi
         self.rows[:, i, c] = np.sqrt(1.0 - xi * xi)
         return self

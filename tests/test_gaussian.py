@@ -166,10 +166,10 @@ def test_beamsplitter_preserves_total_variance(t, ra, rb):
 def test_loss_identity():
     m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), 0.4).freeze()
     out = grow(m, "loss", "a", 1.0)
-    n = m.variances.shape[1]  # sources per quadrature
+    n = m.rows.shape[2]  # sources per quadrature
     assert out.rows[:, :, :n].tobytes() == m.rows.tobytes()
     assert not out.rows[:, :, n:].any()
-    assert out.variances.shape == (2, n + 1)
+    assert out.variances.shape == (2 * n + 2,)
 
 
 def test_loss_blackout_gives_vacuum():
@@ -397,10 +397,25 @@ def test_batched_arrays_are_c_contiguous_with_draws_last():
         n_modes, n_sources = model.rows.shape[1:3]  # sources per quadrature
         assert model.batch_shape == draws.shape
         assert model.rows.shape == (2, n_modes, n_sources, *draws.shape)
-        assert model.variances.shape == (2, n_sources, *draws.shape)
+        assert model.variances.shape == (2 * n_sources, *draws.shape)
         assert model.order.shape == (2, n_sources)
         assert model.rows.flags.c_contiguous and model.variances.flags.c_contiguous
         assert model.x_form("a").shape == (2 * n_sources, *draws.shape)
+
+
+def test_elements_append_variances_in_creation_order():
+    # x sum, x diff, y sum, y diff of a squeezed pair; x, y of a vacuum mode and of a loss
+    for scale in ONE_POINT_AND_BATCH:
+        r = 0.3 * scale
+        net = GaussianModel.empty(np.shape(scale)).builder(6, 8).add_epr_pair(("a", "b"), r)
+        m = net.add_vacuum_mode("v").loss("a", 0.8 * scale).freeze()
+        quiet, loud = (np.vectorize(math.exp)(factor * np.asarray(r)) for factor in (-2.0, 2.0))
+        one = np.ones_like(quiet)
+        expected = np.stack([quiet, loud, loud, quiet, one, one, one, one])
+        assert m.variances.tobytes() == expected.tobytes()
+        x_plane, y_plane = (m.variances[m.order[plane]] for plane in range(2))
+        assert x_plane.tobytes() == np.stack([quiet, loud, one, one]).tobytes()
+        assert y_plane.tobytes() == np.stack([loud, quiet, one, one]).tobytes()
 
 
 def _four_modes(batch) -> GaussianModel:
@@ -422,7 +437,7 @@ def _elements_with(m: GaussianModel, value) -> list:
 def test_empty_model_fixes_the_batch_shape():
     for batch in [(), (4,), (2, 3)]:
         m = GaussianModel.empty(batch)
-        assert m.variances.shape == (2, 0, *batch) and m.rows.shape == (2, 0, 0, *batch)
+        assert m.variances.shape == (0, *batch) and m.rows.shape == (2, 0, 0, *batch)
         for model in [grow(m, "add_vacuum_mode", "v"), *_every_element(_four_modes(batch))]:
             assert model.batch_shape == batch
 
@@ -555,7 +570,7 @@ def test_builder_freezes_only_at_its_declared_size():
     with pytest.raises(RuntimeError, match=r"outgrows the \(4, 6\)"):
         net.add_vacuum_mode("v")
     m = net.freeze()
-    assert m.rows.shape == (2, 2, 3) and m.variances.shape == (2, 3)
+    assert m.rows.shape == (2, 2, 3) and m.variances.shape == (6,)
     with pytest.raises(ValueError, match="read-only"):
         net.beamsplitter(("a", "b"), 0.5)  # a frozen builder's arrays are the model's
 

@@ -517,7 +517,7 @@ def test_built_network_arrays_are_read_only(lab_params):
 
 def test_verification_footprint_of_a_verify_batch():
     # verify --random 200's first batch: 200 draws and the config point. Stored
-    # per quadrature, its traced peak is about 630 KB; one dense row per
+    # per quadrature, its traced peak is about 495 KB; one dense row per
     # quadrature over all sources took about 860 KB
     *physics, g_swap = np.random.default_rng(67).uniform(DRAW_LOW, DRAW_HIGH, size=(201, 9)).T
     batch = ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))
