@@ -1,15 +1,15 @@
-"""Linear Gaussian optics as one linear map over independent sources, per quadrature.
+"""Linear Gaussian optics as one linear map over independent sources.
 
-Each source is zero-mean Gaussian noise on one quadrature, and no element mixes
-x and y (a phase rotation would, and would need one dense row per quadrature
-over all sources back). So a model holds ``variances``, shape ``(S, *batch)``,
-one entry per source in creation order; ``rows`` ``(2, modes, S/2, *batch)``,
-an x and a y plane with one row per optical mode over that plane's sources;
-``order`` ``(2, S/2)``, the creation-order index of each plane column, so a
-plane's variances are ``variances[order[p]]``; and ``labels`` maps each mode
-label to its row. A quadrature form, from :meth:`GaussianModel.x_form` or
-``y_form``, is a row scattered out of its plane: shape ``(S, *batch)`` over
-the sources that existed when it was taken, in creation order, so it stays
+Each source is zero-mean Gaussian noise on one quadrature, x or y, and no
+element mixes the two (a phase rotation would). A model holds, in creation
+order of the sources: ``variances``, shape ``(S, *batch)``, one entry per
+source; ``y_sources``, shape ``(S, 1, ...)`` so that it broadcasts over the
+batch, true for each y source; and ``rows`` ``(modes, S, *batch)``, one row
+per optical mode over every source, with its x coefficients on x sources and
+its y coefficients on y sources. ``labels`` maps each mode label to its row.
+A quadrature form, from :meth:`GaussianModel.x_form` or ``y_form``, is a row
+masked to that quadrature's sources (+0.0 on the others): shape
+``(S, *batch)`` over the sources that existed when it was taken, so it stays
 valid on every later model of the same network (the sources added since are
 zero in it). The draws are innermost in memory. The batch shape is fixed when
 the model is created and no element changes it: a parameter is a float or an
@@ -26,7 +26,7 @@ forms, measured photocurrents fed forward included, is the exact sum
 
 A network is grown in place on arrays allocated once at its final size:
 :meth:`GaussianModel.builder` copies a model into a writable one with room for
-a given number of rows (two per mode) and sources (half per plane), each
+a given number of rows (two per mode, one per quadrature) and sources, each
 element writes there, and :meth:`GaussianModel.freeze` checks that the room is
 filled and makes the arrays read-only. The model a builder starts from is not
 changed; a frozen model refuses every element.
@@ -34,7 +34,6 @@ changed; a frozen model refuses every element.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -61,50 +60,45 @@ def _exp(factor: float, x):
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-@functools.cache
-def _interleaved(columns: int) -> np.ndarray:
-    """Source 2c in column c of the x plane and 2c + 1 in that of the y plane."""
-    return np.arange(2 * columns).reshape(columns, 2).T
-
-
 class GaussianModel:
-    """Creation-order source variances plus the per-quadrature rows of every live mode.
+    """Creation-order source variances and quadrature tags, plus one row per live mode.
 
     Grow a network on a :meth:`builder` of :meth:`empty`: each element checks
     its arguments, writes in place and returns the model, so elements chain.
     """
 
-    def __init__(self, variances: np.ndarray, rows: np.ndarray, order: np.ndarray,
+    def __init__(self, variances: np.ndarray, y_sources: np.ndarray, rows: np.ndarray,
                  labels: dict[str, int], room: tuple[int, int], n_rows: int,
                  n_sources: int) -> None:
-        self.variances, self.rows, self.order, self.labels = variances, rows, order, labels
+        self.variances, self.y_sources, self.rows, self.labels = variances, y_sources, rows, labels
         self._room, self._n_rows, self._n_sources = room, n_rows, n_sources
 
     @classmethod
     def empty(cls, batch_shape: tuple[int, ...] = ()) -> GaussianModel:
-        return cls(np.empty((0, *batch_shape)), np.empty((2, 0, 0, *batch_shape)),
-                   np.empty((2, 0), np.intp), {}, (0, 0), 0, 0).freeze()
+        return cls(np.empty((0, *batch_shape)), np.empty((0, *(1,) * len(batch_shape)), bool),
+                   np.empty((0, 0, *batch_shape)), {}, (0, 0), 0, 0).freeze()
 
     def builder(self, new_rows: int, new_sources: int) -> GaussianModel:
         """A writable copy of this model with room for ``new_rows`` more rows and
         ``new_sources`` more sources, which must all be filled before it freezes."""
         n_rows, n_sources = self._n_rows, self._n_sources
         room = (n_rows + new_rows, n_sources + new_sources)
-        m, n, columns = n_rows // 2, n_sources // 2, room[1] // 2
-        rows = np.zeros((2, room[0] // 2, columns, *self.batch_shape))
         variances = np.zeros((room[1], *self.batch_shape))
-        order = _interleaved(columns).copy()  # see _claim
+        y_sources = np.zeros((room[1], *self.y_sources.shape[1:]), bool)
+        rows = np.zeros((room[0] // 2, room[1], *self.batch_shape))
         if n_sources:  # an empty model has nothing to copy
-            rows[:, :m, :n] = self.rows[:, :m, :n]
-            variances[:n_sources], order[:, :n] = self.variances[:n_sources], self.order[:, :n]
-        return GaussianModel(variances, rows, order, dict(self.labels), room, n_rows, n_sources)
+            variances[:n_sources] = self.variances[:n_sources]
+            y_sources[:n_sources] = self.y_sources[:n_sources]
+            rows[: n_rows // 2, :n_sources] = self.rows[: n_rows // 2, :n_sources]
+        return GaussianModel(variances, y_sources, rows, dict(self.labels), room, n_rows,
+                             n_sources)
 
     def freeze(self) -> GaussianModel:
         """This model, read-only from now on; its declared room must be filled."""
         if (self._n_rows, self._n_sources) != self._room:
             raise RuntimeError(f"network filled {self._n_rows} rows and {self._n_sources} "
                                f"sources of the {self._room} it declared")
-        for array in (self.variances, self.rows, self.order):
+        for array in (self.variances, self.y_sources, self.rows):
             array.setflags(write=False)
         return self
 
@@ -126,14 +120,16 @@ class GaussianModel:
     def y_form(self, label: str) -> np.ndarray:
         return self._form(1, label)
 
-    def _form(self, plane: int, label: str) -> np.ndarray:
-        """A plane row at its sources' creation-order indices, zero elsewhere;
-        read-only once frozen."""
-        n = self._n_sources // 2
-        form = np.zeros((self._n_sources, *self.batch_shape))
-        form[self.order[plane, :n]] = self.rows[plane, self._mode(label), :n]
+    def _form(self, quadrature: int, label: str) -> np.ndarray:
+        """A mode's row on its sources of ``quadrature`` (0 x, 1 y); read-only once frozen."""
+        form = self._on(quadrature, self.rows[self._mode(label), : self._n_sources])
         form.setflags(write=self.rows.flags.writeable)
         return form
+
+    def _on(self, quadrature: int, coefficients: np.ndarray) -> np.ndarray:
+        """A copy of ``coefficients``, +0.0 on the sources not of ``quadrature``."""
+        y = self.y_sources[: len(coefficients)]
+        return np.where(y, coefficients, 0.0) if quadrature else np.where(y, 0.0, coefficients)
 
     def _width(self, form: np.ndarray) -> int:
         if form.shape[1:] != self.batch_shape:
@@ -171,16 +167,14 @@ class GaussianModel:
         return value
 
     def _claim(self, n_rows: int, n_sources: int) -> tuple[int, int]:
-        """The first mode and plane column of the next ``n_rows`` rows and ``n_sources``
-        sources, now in use. A builder's ``order`` puts source 2c in x column c and
-        2c + 1 in y column c; only a squeezed pair rewrites it. Either way column c's
-        sources are ``variances[2c : 2c + 2]``."""
+        """The first mode and source of the next ``n_rows`` rows and ``n_sources``
+        sources, now in use."""
         i, s = self._n_rows, self._n_sources
         if i + n_rows > self._room[0] or s + n_sources > self._room[1]:
             raise RuntimeError(f"network outgrows the {self._room} rows and "
                                f"sources it declared")
         self._n_rows, self._n_sources = i + n_rows, s + n_sources
-        return i // 2, s // 2
+        return i // 2, s
 
     # -- elements ------------------------------------------------------------
     #
@@ -190,8 +184,9 @@ class GaussianModel:
         """Attach a fresh vacuum mode: unit variance on both quadratures."""
         if label in self.labels:
             raise ValueError(f"mode label {label!r} already in use")
-        i, c = self._claim(2, 2)
-        self.variances[2 * c : 2 * c + 2] = self.rows[:, i, c] = 1.0
+        i, s = self._claim(2, 2)
+        self.variances[s : s + 2] = self.rows[i, s : s + 2] = 1.0  # x, then y
+        self.y_sources[s + 1] = True
         self.labels[label] = i
         return self
 
@@ -200,8 +195,8 @@ class GaussianModel:
 
         Convention (amplitudes anticorrelated, phases correlated):
         Var((x1+x2)/sqrt2) = Var((y1-y2)/sqrt2) = exp(-2r), and the two
-        orthogonal joint quadratures carry exp(+2r). Two sources per plane hold
-        those joint variances; the single-mode forms are rebuilt from them,
+        orthogonal joint quadratures carry exp(+2r). Two sources per quadrature
+        hold those joint variances; the single-mode forms are rebuilt from them,
         which makes every cross-covariance downstream exact.
         """
         la, lb = labels
@@ -211,14 +206,14 @@ class GaussianModel:
             raise ValueError(f"mode labels {labels!r} must be fresh and distinct")
         r = self._param(r)
         quiet, loud = _exp(-2.0, r), _exp(+2.0, r)
-        i, c = self._claim(4, 4)
-        # sources x sum, x diff, y sum, y diff in creation order; each plane's
-        # a row is (sum + diff) / sqrt2 and its b row (sum - diff) / sqrt2
-        self.order[0, c + 1], self.order[1, c] = 2 * c + 1, 2 * c + 2
-        self.variances[2 * c] = self.variances[2 * c + 3] = quiet
-        self.variances[2 * c + 1 : 2 * c + 3] = loud
-        self.rows[:, i : i + 2, c : c + 2] = _SQRT_HALF
-        self.rows[:, i + 1, c + 1] = -_SQRT_HALF
+        i, s = self._claim(4, 4)
+        # sources x sum, x diff, y sum, y diff in creation order; on each
+        # quadrature the a row is (sum + diff) / sqrt2 and the b row (sum - diff) / sqrt2
+        self.variances[s] = self.variances[s + 3] = quiet
+        self.variances[s + 1 : s + 3] = loud
+        self.y_sources[s + 2 : s + 4] = True
+        self.rows[i : i + 2, s : s + 4] = _SQRT_HALF
+        self.rows[i + 1, s + 1 : s + 4 : 2] = -_SQRT_HALF
         self.labels.update({la: i, lb: i + 1})
         return self
 
@@ -231,9 +226,11 @@ class GaussianModel:
         check_unit("transmittance amplitude", transmittance_amplitude)
         t = self._param(transmittance_amplitude)
         i, j = self._mode(labels[0]), self._mode(labels[1])
-        n = self._n_sources // 2
+        if i == j:  # the map would not be unitary: it would squeeze vacuum
+            raise ValueError(f"mode labels {labels!r} must be distinct")
+        n = self._n_sources
         rt = np.sqrt(1.0 - t * t)
-        first, second = self.rows[:, i, :n], self.rows[:, j, :n]
+        first, second = self.rows[i, :n], self.rows[j, :n]
         # both right-hand sides are evaluated before either view is written
         first[...], second[...] = first * t + second * rt, first * -rt + second * t
         return self
@@ -243,10 +240,11 @@ class GaussianModel:
         check_unit("amplitude transmission", xi)
         xi = self._param(xi)
         i = self._mode(label)
-        _, c = self._claim(0, 2)
-        self.variances[2 * c : 2 * c + 2] = 1.0
-        self.rows[:, i, :c] *= xi
-        self.rows[:, i, c] = np.sqrt(1.0 - xi * xi)
+        _, s = self._claim(0, 2)
+        self.variances[s : s + 2] = 1.0  # x, then y
+        self.y_sources[s + 1] = True
+        self.rows[i, :s] *= xi
+        self.rows[i, s : s + 2] = np.sqrt(1.0 - xi * xi)
         return self
 
     def displace_by_form(self, label: str, x_add: np.ndarray, y_add: np.ndarray,
@@ -262,12 +260,10 @@ class GaussianModel:
         i = self._mode(label)
         self._width(x_add), self._width(y_add)
         gain = self._param(gain)
-        parts = []
-        for plane, form in enumerate((x_add, y_add)):
-            own = self.order[plane, : self._n_sources // 2]
-            parts.append(form[own[: own.searchsorted(len(form))]])
-            if np.count_nonzero(parts[-1]) != np.count_nonzero(form):
-                raise ValueError(f"{'xy'[plane]}_add has coefficients on {'yx'[plane]} sources")
-        for plane, part in enumerate(parts):
-            self.rows[plane, i, : len(part)] += part * gain
+        for quadrature, form in enumerate((x_add, y_add)):
+            if np.count_nonzero(self._on(1 - quadrature, form)):
+                raise ValueError(f"{'xy'[quadrature]}_add has coefficients on "
+                                 f"{'yx'[quadrature]} sources")
+        for form in (x_add, y_add):
+            self.rows[i, : len(form)] += form * gain
         return self

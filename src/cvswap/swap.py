@@ -48,9 +48,9 @@ class NetworkHandles:
 
     Every read-out of the station map is one of these forms: the joint
     measurement's currents, the verification currents on a and d', and the
-    amplitude quadrature of a or d' alone; those on a and d' are scattered out
-    of ``model`` when read. Compared by identity: the forms are arrays, which
-    have no single truth value for a field-by-field ``==``.
+    amplitude quadrature of a or d' alone; those on a and d' are masked out of
+    ``model``'s rows when read. Compared by identity: the forms are arrays,
+    which have no single truth value for a field-by-field ``==``.
     """
 
     i_plus: np.ndarray          # amplitude-sum photocurrent of the joint measurement

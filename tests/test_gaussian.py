@@ -140,6 +140,16 @@ def test_beamsplitter_unknown_mode_rejected():
         grow(m, "beamsplitter", ("v1", "nope"), 0.5)
 
 
+def test_beamsplitter_of_a_mode_with_itself_is_rejected():
+    # on one row the map is not unitary: at t = 0.6 it took vacuum's x variance to 0.04
+    for scale in ONE_POINT_AND_BATCH:
+        m = GaussianModel.empty(np.shape(scale)).builder(2, 2).add_vacuum_mode("v").freeze()
+        net = m.builder(0, 0)
+        with pytest.raises(ValueError, match=r"mode labels \('v', 'v'\) must be distinct"):
+            net.beamsplitter(("v", "v"), 0.6 * scale)
+        assert net.freeze().rows.tobytes() == m.rows.tobytes()
+
+
 @given(
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=1.5),
@@ -166,10 +176,10 @@ def test_beamsplitter_preserves_total_variance(t, ra, rb):
 def test_loss_identity():
     m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), 0.4).freeze()
     out = grow(m, "loss", "a", 1.0)
-    n = m.rows.shape[2]  # sources per quadrature
-    assert out.rows[:, :, :n].tobytes() == m.rows.tobytes()
-    assert not out.rows[:, :, n:].any()
-    assert out.variances.shape == (2 * n + 2,)
+    n = m.rows.shape[1]  # sources
+    assert out.rows[:, :n].tobytes() == m.rows.tobytes()
+    assert not out.rows[:, n:].any()
+    assert out.variances.shape == (n + 2,)
 
 
 def test_loss_blackout_gives_vacuum():
@@ -308,6 +318,12 @@ def test_covariance_matrix_symmetric_psd_and_physical():
         m = _random_network(rng)
         sigma = _covariance_matrix(m, tuple(m.labels))
         assert np.allclose(sigma, sigma.T)
+        # no element mixes x and y: each x-y entry is exactly 0, and each form
+        # is exactly +0.0 on the other quadrature's sources
+        assert (sigma[0::2, 1::2] == 0.0).all() and (sigma[1::2, 0::2] == 0.0).all()
+        for label in m.labels:
+            assert m.x_form(label)[m.y_sources].tobytes() == np.zeros(7).tobytes()
+            assert m.y_form(label)[~m.y_sources].tobytes() == np.zeros(7).tobytes()
         assert np.linalg.eigvalsh(sigma).min() >= -1e-9
         # uncertainty bound per mode: det of each diagonal 2x2 block >= 1
         for k in range(0, sigma.shape[0], 2):
@@ -382,7 +398,7 @@ def test_elements_leave_parent_arrays_unchanged():
         net.beamsplitter(("a", "c"), 0.6 * scale).loss("b", 0.7 * scale)
         net.displace_by_form("d", m.x_form("a"), m.y_form("b"), 0.4 * scale)
         assert not any(np.array_equal(child.rows, rows) for child in children)
-        assert not np.array_equal(net.freeze().rows[:, : rows.shape[1], : rows.shape[2]], rows)
+        assert not np.array_equal(net.freeze().rows[: rows.shape[0], : rows.shape[1]], rows)
         assert m.rows.tobytes() == rows.tobytes()
         assert m.variances.tobytes() == variances.tobytes()
         assert m.labels == labels
@@ -394,13 +410,13 @@ def test_batched_arrays_are_c_contiguous_with_draws_last():
     net = GaussianModel.empty(draws.shape).builder(8, 8)
     m = net.add_epr_pair(("a", "b"), 0.3 * draws).add_epr_pair(("c", "d"), 0.2).freeze()
     for model in [m, *_every_element(m, draws)]:
-        n_modes, n_sources = model.rows.shape[1:3]  # sources per quadrature
+        n_modes, n_sources = model.rows.shape[:2]
         assert model.batch_shape == draws.shape
-        assert model.rows.shape == (2, n_modes, n_sources, *draws.shape)
-        assert model.variances.shape == (2 * n_sources, *draws.shape)
-        assert model.order.shape == (2, n_sources)
+        assert model.rows.shape == (n_modes, n_sources, *draws.shape)
+        assert model.variances.shape == (n_sources, *draws.shape)
+        assert model.y_sources.shape == (n_sources, 1)
         assert model.rows.flags.c_contiguous and model.variances.flags.c_contiguous
-        assert model.x_form("a").shape == (2 * n_sources, *draws.shape)
+        assert model.x_form("a").shape == (n_sources, *draws.shape)
 
 
 def test_elements_append_variances_in_creation_order():
@@ -413,9 +429,14 @@ def test_elements_append_variances_in_creation_order():
         one = np.ones_like(quiet)
         expected = np.stack([quiet, loud, loud, quiet, one, one, one, one])
         assert m.variances.tobytes() == expected.tobytes()
-        x_plane, y_plane = (m.variances[m.order[plane]] for plane in range(2))
-        assert x_plane.tobytes() == np.stack([quiet, loud, one, one]).tobytes()
-        assert y_plane.tobytes() == np.stack([loud, quiet, one, one]).tobytes()
+        tags = [False, False, True, True, False, True, False, True]
+        assert m.y_sources.shape == (8, *(1,) * np.ndim(scale))
+        assert m.y_sources.ravel().tolist() == tags
+        x_part, y_part = m.variances[~m.y_sources.ravel()], m.variances[m.y_sources.ravel()]
+        assert x_part.tobytes() == np.stack([quiet, loud, one, one]).tobytes()
+        assert y_part.tobytes() == np.stack([loud, quiet, one, one]).tobytes()
+        h = 1 / SQRT2  # b's row over the pair's sources: (sum - diff) / sqrt2 on x and on y
+        assert m.rows[1, :4].tobytes() == np.multiply.outer([h, -h, h, -h], one).tobytes()
 
 
 def _four_modes(batch) -> GaussianModel:
@@ -437,7 +458,7 @@ def _elements_with(m: GaussianModel, value) -> list:
 def test_empty_model_fixes_the_batch_shape():
     for batch in [(), (4,), (2, 3)]:
         m = GaussianModel.empty(batch)
-        assert m.variances.shape == (0, *batch) and m.rows.shape == (2, 0, 0, *batch)
+        assert m.variances.shape == (0, *batch) and m.rows.shape == (0, 0, *batch)
         for model in [grow(m, "add_vacuum_mode", "v"), *_every_element(_four_modes(batch))]:
             assert model.batch_shape == batch
 
@@ -570,7 +591,7 @@ def test_builder_freezes_only_at_its_declared_size():
     with pytest.raises(RuntimeError, match=r"outgrows the \(4, 6\)"):
         net.add_vacuum_mode("v")
     m = net.freeze()
-    assert m.rows.shape == (2, 2, 3) and m.variances.shape == (6,)
+    assert m.rows.shape == (2, 6) and m.variances.shape == (6,)
     with pytest.raises(ValueError, match="read-only"):
         net.beamsplitter(("a", "b"), 0.5)  # a frozen builder's arrays are the model's
 

@@ -487,7 +487,7 @@ def test_builder_matches_the_frozen_element_chain_on_a_2d_batch():
     built = _swap_elements(GaussianModel.empty((3, 5)).builder(10, 28), p, lambda t: gain).freeze()
     start = _ElementByElement(GaussianModel.empty((3, 5)))
     chain = _swap_elements(start, p, lambda t: gain).model
-    assert built.rows.shape == (2, 5, 14, 3, 5)
+    assert built.rows.shape == (5, 28, 3, 5)
     assert built.rows.tobytes() == chain.rows.tobytes()
     assert built.variances.tobytes() == chain.variances.tobytes()
 
@@ -516,9 +516,9 @@ def test_built_network_arrays_are_read_only(lab_params):
 
 
 def test_verification_footprint_of_a_verify_batch():
-    # verify --random 200's first batch: 200 draws and the config point. Stored
-    # per quadrature, its traced peak is about 495 KB; one dense row per
-    # quadrature over all sources took about 860 KB
+    # verify --random 200's first batch: 200 draws and the config point. With
+    # one row per mode over all sources, its traced peak is about 456 KB; one
+    # dense row per quadrature took about 860 KB
     *physics, g_swap = np.random.default_rng(67).uniform(DRAW_LOW, DRAW_HIGH, size=(201, 9)).T
     batch = ExperimentParams(*physics, gain=GainSpec("fixed", g_swap))
     verification_variances(batch)  # fills the process-wide caches first
