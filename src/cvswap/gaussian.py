@@ -25,11 +25,12 @@ forms, measured photocurrents fed forward included, is the exact sum
 ``OverflowError`` when that is inf or nan.
 
 A network is grown in place on arrays allocated once at its final size:
-:meth:`GaussianModel.builder` copies a model into a writable one with room for
-a given number of rows (two per mode, one per quadrature) and sources, each
-element writes there, and :meth:`GaussianModel.freeze` checks that the room is
-filled and makes the arrays read-only. The model a builder starts from is not
-changed; a frozen model refuses every element.
+``GaussianModel(modes, sources, batch_shape)`` is a writable model with that
+room, ``rows.shape[:2]``, and :meth:`GaussianModel.builder` copies a model into
+one with room for more. Each element writes there, and :meth:`GaussianModel.freeze`
+checks that the room is filled (the modes in use are ``len(labels)``) and makes
+the arrays read-only. A builder leaves its model unchanged; a frozen model
+refuses every element.
 """
 
 from __future__ import annotations
@@ -38,66 +39,43 @@ import math
 
 import numpy as np
 
-from .params import EXP_MAX, any_draw, check_unit, exp, finite
+from .params import any_draw, check_unit, exp, finite
 
 __all__ = ["GaussianModel"]
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def _exp(factor: float, x):
-    """:func:`params.exp` of ``factor * x``, elementwise: libm's ``exp``.
-
-    numpy's ``exp`` differs from libm's in the last ulp on some inputs, and a
-    draw must give the same bits inside a batch as alone. A product or an exp
-    past the float range is inf in a batch as in one point, silently.
-    """
-    if not isinstance(x, np.ndarray):
-        return exp(factor * float(x))  # a numpy scalar would warn on overflow
-    with np.errstate(over="ignore"):
-        x = factor * x
-    x = np.where(x > EXP_MAX, math.inf, x)  # where math.exp would raise
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 class GaussianModel:
     """Creation-order source variances and quadrature tags, plus one row per live mode.
 
-    Grow a network on a :meth:`builder` of :meth:`empty`: each element checks
-    its arguments, writes in place and returns the model, so elements chain.
+    Grow a network on a new model or a :meth:`builder`: each element checks its
+    arguments, writes in place and returns the model, so elements chain.
     """
 
-    def __init__(self, variances: np.ndarray, y_sources: np.ndarray, rows: np.ndarray,
-                 labels: dict[str, int], room: tuple[int, int], n_rows: int,
-                 n_sources: int) -> None:
-        self.variances, self.y_sources, self.rows, self.labels = variances, y_sources, rows, labels
-        self._room, self._n_rows, self._n_sources = room, n_rows, n_sources
+    def __init__(self, modes: int, sources: int, batch_shape: tuple[int, ...] = ()) -> None:
+        """A writable model with room for ``modes`` modes and ``sources`` sources."""
+        self.variances = np.zeros((sources, *batch_shape))
+        self.y_sources = np.zeros((sources, *(1,) * len(batch_shape)), bool)
+        self.rows = np.zeros((modes, sources, *batch_shape))
+        self.labels: dict[str, int] = {}
+        self._n_sources = 0
 
-    @classmethod
-    def empty(cls, batch_shape: tuple[int, ...] = ()) -> GaussianModel:
-        return cls(np.empty((0, *batch_shape)), np.empty((0, *(1,) * len(batch_shape)), bool),
-                   np.empty((0, 0, *batch_shape)), {}, (0, 0), 0, 0).freeze()
-
-    def builder(self, new_rows: int, new_sources: int) -> GaussianModel:
-        """A writable copy of this model with room for ``new_rows`` more rows and
+    def builder(self, new_modes: int, new_sources: int) -> GaussianModel:
+        """A writable copy of this model with room for ``new_modes`` more modes and
         ``new_sources`` more sources, which must all be filled before it freezes."""
-        n_rows, n_sources = self._n_rows, self._n_sources
-        room = (n_rows + new_rows, n_sources + new_sources)
-        variances = np.zeros((room[1], *self.batch_shape))
-        y_sources = np.zeros((room[1], *self.y_sources.shape[1:]), bool)
-        rows = np.zeros((room[0] // 2, room[1], *self.batch_shape))
-        if n_sources:  # an empty model has nothing to copy
-            variances[:n_sources] = self.variances[:n_sources]
-            y_sources[:n_sources] = self.y_sources[:n_sources]
-            rows[: n_rows // 2, :n_sources] = self.rows[: n_rows // 2, :n_sources]
-        return GaussianModel(variances, y_sources, rows, dict(self.labels), room, n_rows,
-                             n_sources)
+        n, s = len(self.labels), self._n_sources
+        net = GaussianModel(n + new_modes, s + new_sources, self.batch_shape)
+        net.variances[:s], net.y_sources[:s] = self.variances[:s], self.y_sources[:s]
+        net.rows[:n, :s] = self.rows[:n, :s]
+        net.labels, net._n_sources = dict(self.labels), s
+        return net
 
     def freeze(self) -> GaussianModel:
         """This model, read-only from now on; its declared room must be filled."""
-        if (self._n_rows, self._n_sources) != self._room:
-            raise RuntimeError(f"network filled {self._n_rows} rows and {self._n_sources} "
-                               f"sources of the {self._room} it declared")
+        if (len(self.labels), self._n_sources) != self.rows.shape[:2]:
+            raise RuntimeError(f"network filled {len(self.labels)} modes and {self._n_sources} "
+                               f"sources of the {self.rows.shape[:2]} it declared")
         for array in (self.variances, self.y_sources, self.rows):
             array.setflags(write=False)
         return self
@@ -166,15 +144,15 @@ class GaussianModel:
                              f"the model's batch shape is {self.batch_shape}")
         return value
 
-    def _claim(self, n_rows: int, n_sources: int) -> tuple[int, int]:
-        """The first mode and source of the next ``n_rows`` rows and ``n_sources``
-        sources, now in use."""
-        i, s = self._n_rows, self._n_sources
-        if i + n_rows > self._room[0] or s + n_sources > self._room[1]:
-            raise RuntimeError(f"network outgrows the {self._room} rows and "
+    def _claim(self, n_modes: int, n_sources: int) -> tuple[int, int]:
+        """The first mode and source of the next ``n_modes`` modes and ``n_sources``
+        sources; the sources are now in use, the modes once labelled."""
+        i, s = len(self.labels), self._n_sources
+        if i + n_modes > len(self.rows) or s + n_sources > self.rows.shape[1]:
+            raise RuntimeError(f"network outgrows the {self.rows.shape[:2]} modes and "
                                f"sources it declared")
-        self._n_rows, self._n_sources = i + n_rows, s + n_sources
-        return i // 2, s
+        self._n_sources = s + n_sources
+        return i, s
 
     # -- elements ------------------------------------------------------------
     #
@@ -184,7 +162,7 @@ class GaussianModel:
         """Attach a fresh vacuum mode: unit variance on both quadratures."""
         if label in self.labels:
             raise ValueError(f"mode label {label!r} already in use")
-        i, s = self._claim(2, 2)
+        i, s = self._claim(1, 2)
         self.variances[s : s + 2] = self.rows[i, s : s + 2] = 1.0  # x, then y
         self.y_sources[s + 1] = True
         self.labels[label] = i
@@ -205,8 +183,9 @@ class GaussianModel:
         if la in self.labels or lb in self.labels or la == lb:
             raise ValueError(f"mode labels {labels!r} must be fresh and distinct")
         r = self._param(r)
-        quiet, loud = _exp(-2.0, r), _exp(+2.0, r)
-        i, s = self._claim(4, 4)
+        with np.errstate(over="ignore"):  # 2 r past the float range is inf, as for a float
+            quiet, loud = exp(-2.0 * r), exp(2.0 * r)
+        i, s = self._claim(2, 4)
         # sources x sum, x diff, y sum, y diff in creation order; on each
         # quadrature the a row is (sum + diff) / sqrt2 and the b row (sum - diff) / sqrt2
         self.variances[s] = self.variances[s + 3] = quiet

@@ -34,9 +34,13 @@ def finite(quantity: str, value):
     return value if type(value) is float or getattr(value, "ndim", 0) else float(value)
 
 
-def exp(x: float) -> float:
-    """``math.exp(x)``, silently inf past the float range: :func:`finite` checks the result."""
-    return math.inf if x > EXP_MAX else math.exp(x)
+def exp(x):
+    """libm's ``exp``, silently inf past the float range (:func:`finite` checks the result):
+    a float, or an array entry by entry, as numpy's differs in the last ulp on some inputs."""
+    if type(x) is float or not isinstance(x, np.ndarray):  # a float skips isinstance (60 ns)
+        return math.inf if x > EXP_MAX else math.exp(x)
+    x = np.where(x > EXP_MAX, math.inf, x)
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def shown(value) -> str:

@@ -37,9 +37,9 @@ from .params import ExperimentParams, VarianceReport, any_draw
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# five modes of two rows each; two pairs of four sources each, and one vacuum
-# mode and nine losses of two each
-_NETWORK_ROWS, _NETWORK_SOURCES = 10, 28
+# five modes; two pairs of four sources each, and one vacuum mode and nine
+# losses of two each
+_NETWORK_MODES, _NETWORK_SOURCES = 5, 28
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +79,7 @@ def snl_reference() -> float:
     normalized even if the current convention changes; computed once per
     process, since it depends on no parameter.
     """
-    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
+    m = GaussianModel(2, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
     return m.variance((m.x_form("v1") + m.x_form("v2")) * _SQRT_HALF)
 
 
@@ -104,7 +104,7 @@ def build_network(params: ExperimentParams) -> tuple[GaussianModel, NetworkHandl
     """Assemble the swap chain and return the model plus measurement handles."""
     g_swap = resolve_gain(params)
 
-    net = GaussianModel.empty(params.batch_shape).builder(_NETWORK_ROWS, _NETWORK_SOURCES)
+    net = GaussianModel(_NETWORK_MODES, _NETWORK_SOURCES, params.batch_shape)
     net.add_epr_pair(("a", "b"), params.r1).add_epr_pair(("c", "d"), params.r2)
 
     # transmission to the joint measurement, then the 50:50 mixing

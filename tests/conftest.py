@@ -66,10 +66,10 @@ def fixed_gain() -> GainSpec:
     return GainSpec("fixed", 0.741)
 
 
-# (rows, sources) each element adds to a network
+# (modes, sources) each element adds to a network
 ELEMENT_ROOM = {
-    "add_vacuum_mode": (2, 2),
-    "add_epr_pair": (4, 4),
+    "add_vacuum_mode": (1, 2),
+    "add_epr_pair": (2, 4),
     "beamsplitter": (0, 0),
     "loss": (0, 2),
     "displace_by_form": (0, 0),

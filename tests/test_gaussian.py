@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cvswap import GaussianModel
-from cvswap.gaussian import _exp
 from cvswap.params import EXP_MAX, exp
 from conftest import grow
 
@@ -25,20 +24,20 @@ def brute_force_variance(terms):
 
 
 def test_vacuum_mode_unit_variance():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     assert m.variance(m.x_form("v1")) == 1.0
     assert m.variance(m.y_form("v1")) == 1.0
     assert m.variance(m.x_form("v1")) * m.variance(m.y_form("v1")) == 1.0
 
 
 def test_vacuum_modes_independent():
-    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
+    m = GaussianModel(2, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
     assert m.covariance(m.x_form("v1"), m.x_form("v2")) == 0.0
     assert m.covariance(m.x_form("v1"), m.y_form("v1")) == 0.0
 
 
 def test_duplicate_label_rejected():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     with pytest.raises(ValueError, match="already in use"):
         grow(m, "add_vacuum_mode", "v1")
 
@@ -47,7 +46,7 @@ def test_duplicate_label_rejected():
 
 
 def test_epr_vacuum_limit():
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), 0.0).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), 0.0).freeze()
     for label in ("a", "b"):
         assert m.variance(m.x_form(label)) == pytest.approx(1.0, abs=1e-15)
         assert m.variance(m.y_form(label)) == pytest.approx(1.0, abs=1e-15)
@@ -57,7 +56,7 @@ def test_epr_vacuum_limit():
 
 def test_epr_joint_variances():
     r = 0.564
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), r).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), r).freeze()
     x_sum = (m.x_form("a") + m.x_form("b")) * (1 / SQRT2)
     y_diff = (m.y_form("a") - m.y_form("b")) * (1 / SQRT2)
     assert m.variance(x_sum) == pytest.approx(math.exp(-2 * r), rel=1e-12)
@@ -72,14 +71,14 @@ def test_epr_joint_variances():
 
 def test_epr_sign_convention():
     # amplitudes anticorrelated, phases correlated: sum-x and diff-y are quiet
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), 0.8).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), 0.8).freeze()
     assert m.covariance(m.x_form("a"), m.x_form("b")) < 0
     assert m.covariance(m.y_form("a"), m.y_form("b")) > 0
 
 
 def test_epr_single_mode_variance_matches_brute_force():
     r = 0.564
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), r).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), r).freeze()
     # by-hand decomposition: x_a = (s_sum + s_diff)/sqrt2
     expected = brute_force_variance(
         [(1 / SQRT2, math.exp(-2 * r)), (1 / SQRT2, math.exp(2 * r))]
@@ -91,12 +90,12 @@ def test_epr_single_mode_variance_matches_brute_force():
 
 def test_epr_negative_r_rejected():
     with pytest.raises(ValueError, match=">= 0"):
-        GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), -0.1)
+        GaussianModel(2, 4).add_epr_pair(("a", "b"), -0.1)
 
 
 @given(st.floats(min_value=0.0, max_value=3.0))
 def test_epr_uncertainty_product_exact(r):
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), r).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), r).freeze()
     v_sum = m.variance(m.x_form("a") + m.x_form("b"))
     v_diff = m.variance(m.x_form("a") - m.x_form("b"))
     assert v_sum * v_diff == pytest.approx(4.0, rel=1e-12)
@@ -106,14 +105,14 @@ def test_epr_uncertainty_product_exact(r):
 
 
 def test_beamsplitter_full_transmission_is_identity():
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), 0.3).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), 0.3).freeze()
     out = grow(m, "beamsplitter", ("a", "b"), 1.0)
     assert np.array_equal(out.x_form("a"), m.x_form("a"))
     assert np.array_equal(out.y_form("b"), m.y_form("b"))
 
 
 def test_beamsplitter_5050_on_vacua():
-    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
+    m = GaussianModel(2, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
     out = grow(m, "beamsplitter", ("v1", "v2"), 1 / SQRT2)
     assert out.variance(out.x_form("v1")) == pytest.approx(1.0, rel=1e-12)
     assert out.variance(out.x_form("v2")) == pytest.approx(1.0, rel=1e-12)
@@ -121,21 +120,21 @@ def test_beamsplitter_5050_on_vacua():
 
 def test_beamsplitter_extracts_squeezed_port():
     r = 0.564
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), r).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), r).freeze()
     out = grow(m, "beamsplitter", ("a", "b"), 1 / SQRT2)
     assert out.variance(out.x_form("a")) == pytest.approx(math.exp(-2 * r), rel=1e-12)
     assert out.variance(out.x_form("a")) == pytest.approx(0.3237, abs=2e-4)
 
 
 def test_beamsplitter_bad_transmittance_rejected():
-    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
+    m = GaussianModel(2, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
     for t in (-0.1, 1.1):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             grow(m, "beamsplitter", ("v1", "v2"), t)
 
 
 def test_beamsplitter_unknown_mode_rejected():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     with pytest.raises(ValueError, match="unknown mode"):
         grow(m, "beamsplitter", ("v1", "nope"), 0.5)
 
@@ -143,7 +142,7 @@ def test_beamsplitter_unknown_mode_rejected():
 def test_beamsplitter_of_a_mode_with_itself_is_rejected():
     # on one row the map is not unitary: at t = 0.6 it took vacuum's x variance to 0.04
     for scale in ONE_POINT_AND_BATCH:
-        m = GaussianModel.empty(np.shape(scale)).builder(2, 2).add_vacuum_mode("v").freeze()
+        m = GaussianModel(1, 2, np.shape(scale)).add_vacuum_mode("v").freeze()
         net = m.builder(0, 0)
         with pytest.raises(ValueError, match=r"mode labels \('v', 'v'\) must be distinct"):
             net.beamsplitter(("v", "v"), 0.6 * scale)
@@ -158,8 +157,7 @@ def test_beamsplitter_of_a_mode_with_itself_is_rejected():
 def test_beamsplitter_preserves_total_variance(t, ra, rb):
     # independent inputs of unequal variance: cosh(2r) each
     m = (
-        GaussianModel.empty()
-        .builder(8, 8)
+        GaussianModel(4, 8)
         .add_epr_pair(("a", "a2"), ra)
         .add_epr_pair(("b", "b2"), rb)
         .freeze()
@@ -174,7 +172,7 @@ def test_beamsplitter_preserves_total_variance(t, ra, rb):
 
 
 def test_loss_identity():
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), 0.4).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), 0.4).freeze()
     out = grow(m, "loss", "a", 1.0)
     n = m.rows.shape[1]  # sources
     assert out.rows[:, :n].tobytes() == m.rows.tobytes()
@@ -183,7 +181,7 @@ def test_loss_identity():
 
 
 def test_loss_blackout_gives_vacuum():
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), 1.2).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), 1.2).freeze()
     out = grow(m, "loss", "a", 0.0)
     assert out.variance(out.x_form("a")) == pytest.approx(1.0, rel=1e-12)
 
@@ -191,7 +189,7 @@ def test_loss_blackout_gives_vacuum():
 def test_loss_arithmetic_on_antisqueezed_mode():
     # 95% intensity transmission of a mode at exp(+2*0.587) of shot noise
     r = 0.587
-    net = GaussianModel.empty().builder(4, 4).add_epr_pair(("p", "q"), r)
+    net = GaussianModel(2, 4).add_epr_pair(("p", "q"), r)
     m = net.beamsplitter(("p", "q"), 1 / SQRT2).freeze()  # q now holds the +2r port
     assert m.variance(m.x_form("q")) == pytest.approx(math.exp(2 * r), rel=1e-12)
     out = grow(m, "loss", "q", math.sqrt(0.95))
@@ -201,7 +199,7 @@ def test_loss_arithmetic_on_antisqueezed_mode():
 
 
 def test_loss_bad_transmission_rejected():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     for xi in (-0.5, 1.5):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             grow(m, "loss", "v1", xi)
@@ -211,27 +209,27 @@ def test_loss_bad_transmission_rejected():
 
 
 def test_displacement_zero_gain_is_identity():
-    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
+    m = GaussianModel(2, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
     out = grow(m, "displace_by_form", "v1", m.x_form("v2"), m.y_form("v2"), 0.0)
     assert np.array_equal(out.x_form("v1"), m.x_form("v1"))
 
 
 def test_displacement_perfect_cancellation():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     out = grow(m, "displace_by_form", "v1", -m.x_form("v1"), -m.y_form("v1"), 1.0)
     assert out.variance(out.x_form("v1")) == 0.0
     assert out.variance(out.y_form("v1")) == 0.0
 
 
 def test_displacement_unregistered_source_rejected():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     rogue = np.ones(m.variances.size + 1)
     with pytest.raises(ValueError, match="unregistered source"):
         grow(m, "displace_by_form", "v1", rogue, rogue, 1.0)
 
 
 def test_zero_form_displacement_is_bit_identical():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     zero = np.zeros(m.variances.size)
     shifted = grow(m, "displace_by_form", "v1", zero, zero, 1.0)
     assert shifted.rows.tobytes() == m.rows.tobytes()
@@ -243,17 +241,17 @@ def test_zero_form_displacement_is_bit_identical():
 
 
 def test_variance_of_empty_form_is_zero():
-    m = GaussianModel.empty()
+    m = GaussianModel(0, 0).freeze()
     assert m.variance(np.zeros(0)) == 0.0
 
 
 def test_covariance_disjoint_sources_zero():
-    m = GaussianModel.empty().builder(4, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
+    m = GaussianModel(2, 4).add_vacuum_mode("v1").add_vacuum_mode("v2").freeze()
     assert m.covariance(m.x_form("v1"), m.x_form("v2")) == 0.0
 
 
 def test_variance_rejects_unregistered_source():
-    m = GaussianModel.empty()
+    m = GaussianModel(0, 0).freeze()
     with pytest.raises(ValueError, match="unregistered source"):
         m.variance(np.ones(1))
 
@@ -261,7 +259,7 @@ def test_variance_rejects_unregistered_source():
 def test_joint_variance_of_independent_pair_halves():
     # one beam of each pair, mixed: brute-force assembly gives the cosh average
     r1, r2 = 0.564, 0.587
-    net = GaussianModel.empty().builder(8, 8)
+    net = GaussianModel(4, 8)
     m = net.add_epr_pair(("a", "b"), r1).add_epr_pair(("c", "d"), r2).freeze()
     form = (m.x_form("b") + m.x_form("c")) * (1 / SQRT2)
     expected = brute_force_variance(
@@ -287,13 +285,13 @@ def _covariance_matrix(m: GaussianModel, labels) -> np.ndarray:
 
 
 def test_covariance_matrix_vacuum_identity():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     assert np.allclose(_covariance_matrix(m, ["v1"]), np.eye(2))
 
 
 def test_covariance_matrix_epr_entries():
     r = 0.564
-    m = GaussianModel.empty().builder(4, 4).add_epr_pair(("a", "b"), r).freeze()
+    m = GaussianModel(2, 4).add_epr_pair(("a", "b"), r).freeze()
     sigma = _covariance_matrix(m, ["a", "b"])
     assert np.allclose(np.diag(sigma), math.cosh(2 * r))
     assert sigma[0, 2] == pytest.approx(-math.sinh(2 * r), rel=1e-12)  # x_a, x_b
@@ -303,7 +301,7 @@ def test_covariance_matrix_epr_entries():
 
 
 def _random_network(rng) -> GaussianModel:
-    net = GaussianModel.empty().builder(8, 14)
+    net = GaussianModel(4, 14)
     net.add_epr_pair(("a", "b"), rng.uniform(0, 1.5))
     net.add_epr_pair(("c", "d"), rng.uniform(0, 1.5))
     net.loss("b", rng.uniform(0.3, 1.0)).loss("c", rng.uniform(0.3, 1.0))
@@ -333,7 +331,7 @@ def test_covariance_matrix_symmetric_psd_and_physical():
 
 def test_disjoint_operations_commute():
     def build(first_pair_first: bool) -> GaussianModel:
-        net = GaussianModel.empty().builder(8, 12)
+        net = GaussianModel(4, 12)
         steps = [
             lambda b: b.add_epr_pair(("a", "b"), 0.7).loss("a", 0.9),
             lambda b: b.add_epr_pair(("c", "d"), 0.4).loss("c", 0.8),
@@ -355,7 +353,7 @@ def test_disjoint_operations_commute():
 
 
 def test_model_operations_do_not_mutate_parent():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     before = m.variance(m.x_form("v1"))
     grow(m, "loss", "v1", 0.5)
     grow(m, "displace_by_form", "v1", -m.x_form("v1"), -m.y_form("v1"), 1.0)
@@ -379,7 +377,7 @@ def _every_element(m: GaussianModel, scale=1.0) -> list[GaussianModel]:
 
 def test_model_arrays_are_read_only():
     for scale in ONE_POINT_AND_BATCH:
-        net = GaussianModel.empty(np.shape(scale)).builder(4, 4)
+        net = GaussianModel(2, 4, np.shape(scale))
         m = net.add_epr_pair(("a", "b"), 0.3 * scale).freeze()
         for model in [m, *_every_element(grow(m, "add_epr_pair", ("c", "d"), 0.2), scale)]:
             for array in (model.x_form("a"), model.y_form("b"), model.rows, model.variances):
@@ -389,12 +387,12 @@ def test_model_arrays_are_read_only():
 
 def test_elements_leave_parent_arrays_unchanged():
     for scale in ONE_POINT_AND_BATCH:
-        net = GaussianModel.empty(np.shape(scale)).builder(8, 8)
+        net = GaussianModel(4, 8, np.shape(scale))
         m = net.add_epr_pair(("a", "b"), 0.3 * scale).add_epr_pair(("c", "d"), 0.9).freeze()
         rows, variances, labels = m.rows.copy(), m.variances.copy(), dict(m.labels)
         # each element on a builder of its own, then all of them on one builder
         children = _every_element(m, scale)
-        net = m.builder(6, 8).add_vacuum_mode("v").add_epr_pair(("e", "f"), 0.5 * scale)
+        net = m.builder(3, 8).add_vacuum_mode("v").add_epr_pair(("e", "f"), 0.5 * scale)
         net.beamsplitter(("a", "c"), 0.6 * scale).loss("b", 0.7 * scale)
         net.displace_by_form("d", m.x_form("a"), m.y_form("b"), 0.4 * scale)
         assert not any(np.array_equal(child.rows, rows) for child in children)
@@ -407,7 +405,7 @@ def test_elements_leave_parent_arrays_unchanged():
 def test_batched_arrays_are_c_contiguous_with_draws_last():
     # per-draw parameters then broadcast over the innermost axis, in long loops
     draws = ONE_POINT_AND_BATCH[1]
-    net = GaussianModel.empty(draws.shape).builder(8, 8)
+    net = GaussianModel(4, 8, draws.shape)
     m = net.add_epr_pair(("a", "b"), 0.3 * draws).add_epr_pair(("c", "d"), 0.2).freeze()
     for model in [m, *_every_element(m, draws)]:
         n_modes, n_sources = model.rows.shape[:2]
@@ -423,7 +421,7 @@ def test_elements_append_variances_in_creation_order():
     # x sum, x diff, y sum, y diff of a squeezed pair; x, y of a vacuum mode and of a loss
     for scale in ONE_POINT_AND_BATCH:
         r = 0.3 * scale
-        net = GaussianModel.empty(np.shape(scale)).builder(6, 8).add_epr_pair(("a", "b"), r)
+        net = GaussianModel(3, 8, np.shape(scale)).add_epr_pair(("a", "b"), r)
         m = net.add_vacuum_mode("v").loss("a", 0.8 * scale).freeze()
         quiet, loud = (np.vectorize(math.exp)(factor * np.asarray(r)) for factor in (-2.0, 2.0))
         one = np.ones_like(quiet)
@@ -440,7 +438,7 @@ def test_elements_append_variances_in_creation_order():
 
 
 def _four_modes(batch) -> GaussianModel:
-    net = GaussianModel.empty(batch).builder(8, 8).add_epr_pair(("a", "b"), 0.3)
+    net = GaussianModel(4, 8, batch).add_epr_pair(("a", "b"), 0.3)
     return net.add_epr_pair(("c", "d"), 0.2).freeze()
 
 
@@ -457,7 +455,7 @@ def _elements_with(m: GaussianModel, value) -> list:
 
 def test_empty_model_fixes_the_batch_shape():
     for batch in [(), (4,), (2, 3)]:
-        m = GaussianModel.empty(batch)
+        m = GaussianModel(0, 0, batch).freeze()
         assert m.variances.shape == (0, *batch) and m.rows.shape == (0, 0, *batch)
         for model in [grow(m, "add_vacuum_mode", "v"), *_every_element(_four_modes(batch))]:
             assert model.batch_shape == batch
@@ -519,7 +517,7 @@ def test_displacement_by_the_other_quadrature_is_rejected():
 
 
 def test_non_finite_covariance_is_overflow_error():
-    v = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v").freeze()
+    v = GaussianModel(1, 2).add_vacuum_mode("v").freeze()
     loud = grow(v, "displace_by_form", "v", v.x_form("v"), v.y_form("v"), 1e300)  # variance 1e600
     # exp(2r) = inf, times v's zero coefficient
     squeezed = grow(v, "add_epr_pair", ("a", "b"), 1e308)
@@ -538,13 +536,22 @@ def test_exp_is_libm_exp_and_silently_inf_past_the_float_range():
     # a batch with one row past the float range: that row is inf, every other keeps its bits
     r = np.array([0.3, 0.5641, above / 2.0, 1.2, EXP_MAX / 2.0])
     for factor in (-2.0, 2.0):
-        batch = _exp(factor, r)
-        assert batch.tolist() == [_exp(factor, x) for x in r.tolist()]
-    assert _exp(2.0, r)[2] == math.inf and _exp(2.0, r)[4] == math.exp(EXP_MAX)
+        batch = exp(factor * r)
+        assert batch.tolist() == [exp(factor * x) for x in r.tolist()]
+    assert exp(2.0 * r)[2] == math.inf and exp(2.0 * r)[4] == math.exp(EXP_MAX)
+    # past the float range, +-inf and nan: each entry as alone, and no numpy warning
+    edges = np.array([[above, 1e308, math.inf], [-math.inf, math.nan, -1e308]])
+    with np.errstate(all="raise"):
+        batch = exp(edges)
+    expected = [[exp(x) for x in row] for row in edges.tolist()]
+    assert batch.shape == edges.shape and np.array_equal(batch, expected, equal_nan=True)
+    # a numpy scalar gives a built-in float, as a float does
+    for x in (0.5, above):
+        assert type(exp(np.float64(x))) is float and exp(np.float64(x)) == exp(x)
 
 
 def test_form_taken_before_later_loss_keeps_its_variance():
-    net = GaussianModel.empty().builder(8, 8)
+    net = GaussianModel(4, 8)
     m = net.add_epr_pair(("a", "b"), 0.564).add_epr_pair(("c", "d"), 0.587).freeze()
     current = (m.x_form("b") + m.x_form("c")) * (1 / SQRT2)
     y_current = (m.y_form("b") - m.y_form("c")) * (1 / SQRT2)
@@ -567,7 +574,7 @@ def test_form_taken_before_later_loss_keeps_its_variance():
 
 def test_form_taken_mid_build_is_a_snapshot():
     for scale in ONE_POINT_AND_BATCH:
-        net = GaussianModel.empty(np.shape(scale)).builder(6, 8)
+        net = GaussianModel(3, 8, np.shape(scale))
         net.add_epr_pair(("a", "b"), 0.5 * scale).add_vacuum_mode("v")
         x_a, y_a = net.x_form("a"), net.y_form("a")
         taken, taken_variance = (x_a.copy(), y_a.copy()), net.variance(x_a)
@@ -575,20 +582,20 @@ def test_form_taken_mid_build_is_a_snapshot():
         m = net.freeze()
         assert x_a.tobytes() == taken[0].tobytes() and y_a.tobytes() == taken[1].tobytes()
         assert not np.array_equal(m.x_form("a")[: len(x_a)], x_a)
-        before = GaussianModel.empty(np.shape(scale)).builder(6, 6)
+        before = GaussianModel(3, 6, np.shape(scale))
         before = before.add_epr_pair(("a", "b"), 0.5 * scale).add_vacuum_mode("v").freeze()
         assert np.array_equal(m.variance(x_a), before.variance(x_a))
         assert np.array_equal(m.variance(x_a), taken_variance)  # on the builder, then frozen
 
 
 def test_builder_freezes_only_at_its_declared_size():
-    net = GaussianModel.empty().builder(4, 6).add_epr_pair(("a", "b"), 0.5)
-    with pytest.raises(RuntimeError, match=r"filled 4 rows and 4 sources of the \(4, 6\)"):
+    net = GaussianModel(2, 6).add_epr_pair(("a", "b"), 0.5)
+    with pytest.raises(RuntimeError, match=r"filled 2 modes and 4 sources of the \(2, 6\)"):
         net.freeze()
     net.loss("a", 0.9)
-    with pytest.raises(RuntimeError, match=r"outgrows the \(4, 6\)"):
+    with pytest.raises(RuntimeError, match=r"outgrows the \(2, 6\)"):
         net.loss("b", 0.9)
-    with pytest.raises(RuntimeError, match=r"outgrows the \(4, 6\)"):
+    with pytest.raises(RuntimeError, match=r"outgrows the \(2, 6\)"):
         net.add_vacuum_mode("v")
     m = net.freeze()
     assert m.rows.shape == (2, 6) and m.variances.shape == (6,)
@@ -598,7 +605,7 @@ def test_builder_freezes_only_at_its_declared_size():
 
 def test_frozen_model_refuses_every_element():
     for scale in ONE_POINT_AND_BATCH:
-        net = GaussianModel.empty(np.shape(scale)).builder(8, 8).add_epr_pair(("a", "b"), 0.3)
+        net = GaussianModel(4, 8, np.shape(scale)).add_epr_pair(("a", "b"), 0.3)
         net.add_epr_pair(("c", "d"), 0.2 * scale)
         m = net.freeze()
         assert m is net and m.freeze() is m
@@ -612,7 +619,7 @@ def test_frozen_model_refuses_every_element():
             lambda: m.displace_by_form("d", form_a, form_b, 0.4 * scale),
         ]
         for element in elements:
-            # a full room refuses new rows and sources; read-only arrays refuse the rest
+            # a full room refuses new modes and sources; read-only arrays refuse the rest
             with pytest.raises((RuntimeError, ValueError), match="outgrows|read-only"):
                 element()
             assert m.rows.tobytes() == rows and m.variances.tobytes() == variances

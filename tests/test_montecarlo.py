@@ -36,7 +36,7 @@ def test_default_averaging_depth_from_bandwidths():
 
 
 def test_vacuum_estimate_within_three_stderr():
-    m = GaussianModel.empty().builder(2, 2).add_vacuum_mode("v1").freeze()
+    m = GaussianModel(1, 2).add_vacuum_mode("v1").freeze()
     est, se = estimate_variance(m, m.x_form("v1"), 100_000, seed=3)
     assert se > 0
     assert abs(est - 1.0) <= 3 * se

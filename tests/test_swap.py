@@ -373,7 +373,7 @@ def test_no_feedforward_means_no_entanglement(lab_params):
 def test_claire_currents_stage_mismatch(lab_params):
     _, handles = build_network(lab_params)
     with pytest.raises(ValueError, match="unregistered source"):
-        GaussianModel.empty().variance(handles.i_plus)
+        GaussianModel(0, 0).freeze().variance(handles.i_plus)
 
 
 def test_network_handles_compare_by_identity(lab_params):
@@ -470,7 +470,7 @@ def test_build_network_matches_the_frozen_element_chain_bit_for_bit(lab_params):
             return electronic_gain(resolve_gain(params), t_mirror * t_mirror,
                                    params.eta, params.xi1)
 
-        start = _ElementByElement(GaussianModel.empty(params.batch_shape))
+        start = _ElementByElement(GaussianModel(0, 0, params.batch_shape).freeze())
         chain = _swap_elements(start, params, electronic).model
         assert model.rows.tobytes() == chain.rows.tobytes()
         assert model.variances.tobytes() == chain.variances.tobytes()
@@ -484,8 +484,8 @@ def test_builder_matches_the_frozen_element_chain_on_a_2d_batch():
     p = SimpleNamespace(**{name: rng.uniform(low, high, size=(3, 5)) for name, low, high
                            in zip(fields, DRAW_LOW, DRAW_HIGH)})
     gain = rng.uniform(0.0, 10.0, size=(3, 5))
-    built = _swap_elements(GaussianModel.empty((3, 5)).builder(10, 28), p, lambda t: gain).freeze()
-    start = _ElementByElement(GaussianModel.empty((3, 5)))
+    built = _swap_elements(GaussianModel(5, 28, (3, 5)), p, lambda t: gain).freeze()
+    start = _ElementByElement(GaussianModel(0, 0, (3, 5)).freeze())
     chain = _swap_elements(start, p, lambda t: gain).model
     assert built.rows.shape == (5, 28, 3, 5)
     assert built.rows.tobytes() == chain.rows.tobytes()

@@ -6,10 +6,11 @@ Usage::
 
 Runs each command below on ``CHECKOUT/src`` (default: the checkout holding
 this script), each in a fresh interpreter and a fresh temporary directory
-holding ``example.yaml`` (``CHECKOUT/configs/example.yaml``) and the CI's
-``fixed.yaml`` and ``exponent.yaml`` edits of it. It prints one sha256 line
-per stdout, stderr, exit code and written file, so two checkouts compare with
-one ``diff`` of their outputs, e.g. a commit against its parent::
+holding ``example.yaml`` (``CHECKOUT/configs/example.yaml``), the CI's
+``fixed.yaml`` and ``exponent.yaml`` edits of it, and the out-of-range edits
+of :data:`RANGE_CONFIGS`. It prints one sha256 line per stdout, stderr, exit
+code and written file, so two checkouts compare with one ``diff`` of their
+outputs, e.g. a commit against its parent::
 
     mkdir parent && git archive PARENT | tar -x -C parent
     diff <(python tools/output_hashes.py parent) <(python tools/output_hashes.py)
@@ -30,6 +31,9 @@ import sys
 import tempfile
 
 CONFIGS = ("example.yaml", "fixed.yaml", "exponent.yaml")
+# the CI's edits with a feedforward port that underflows to 0 and with exps past the
+# float range, and a 2 r past it: every route's overflow and range exit
+RANGE_CONFIGS = ("tiny.yaml", "r200.yaml", "r400.yaml", "r1e308.yaml")
 KINDS = ("correlated", "blocked", "single_mode_a", "single_mode_dprime", "snl")
 
 FORMS = """
@@ -71,18 +75,37 @@ def commands() -> list[list[str]]:
              ["verify", "--config", "example.yaml", "--random", "20000", "--seed", "7"],
              ["verify", "--random", "3000", "--seed", "3"],
              ["sweep", "--config", "example.yaml", "--r1", "0", "1.5", "--r2", "0", "1.5",
-              "--steps", "301", "--out", "grid.csv"],
-             ["-c", FORMS]]
+              "--steps", "301", "--out", "grid.csv"]]
+    for config in RANGE_CONFIGS:
+        runs += [["predict", "--config", config], ["optimal-gain", "--config", config],
+                 ["montecarlo", "--config", config, "--kind", "correlated", "--out", "range.csv"],
+                 ["verify", "--config", config]]
+    # the config point ahead of three draws: a batched 2 r past the float range
+    runs += [["verify", "--config", "r1e308.yaml", "--random", "3"], ["-c", FORMS]]
     return runs
 
 
+def edit(text: str, *edits: tuple[str, str]) -> str:
+    for old, new in edits:
+        text = re.sub(old, new, text)
+    return text
+
+
 def write_configs(checkout: pathlib.Path, directory: pathlib.Path) -> None:
-    """The example config and the CI's fixed-gain and exponent-number edits of it."""
+    """The example config, the CI's fixed-gain and exponent-number edits of it, and
+    the out-of-range ones."""
     text = (checkout / "configs" / "example.yaml").read_text()
-    fixed = re.sub(r"mode: optimal.*", "mode: fixed\n  value: 0.74", text)
-    fixed = re.sub(r"enl_db: .*\n", "", fixed)
-    exponent = re.sub(r"enl_db: .*", "enl_db: 1.0e+20", re.sub(r"r1: .*", "r1: 1.0e-05", text))
-    for name, body in zip(CONFIGS, (text, fixed, exponent)):
+    blocked = ("# blocked: .*", "blocked: true")
+    bodies = (text,
+              edit(text, ("mode: optimal.*", "mode: fixed\n  value: 0.74"), ("enl_db: .*\n", "")),
+              edit(text, ("r1: .*", "r1: 1.0e-05"), ("enl_db: .*", "enl_db: 1.0e+20")),
+              edit(text, ("xi1_sq: .*", "xi1_sq: 5e-324"), ("eta_sq: .*", "eta_sq: 5e-324"),
+                   ("mirror_R: .*", "mirror_R: 0.99999999"),
+                   ("mode: optimal.*", "mode: fixed\n  value: 0.5")),
+              edit(text, ("r1: .*", "r1: 200"), ("r2: .*", "r2: 1")),
+              edit(text, ("r1: .*", "r1: 400"), blocked),
+              edit(text, ("r2: .*", "r2: 1e308"), blocked))
+    for name, body in zip(CONFIGS + RANGE_CONFIGS, bodies):
         (directory / name).write_text(body)
 
 
@@ -107,7 +130,7 @@ def main() -> None:
             print(sha256(done.stderr), f"{label}: stderr")
             print(sha256(str(done.returncode).encode()), f"{label}: exit code")
             for path in sorted(directory.iterdir()):
-                if path.name not in CONFIGS:
+                if path.name not in CONFIGS + RANGE_CONFIGS:
                     print(sha256(path.read_bytes()), f"{label}: {path.name}")
 
 
