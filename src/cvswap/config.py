@@ -82,6 +82,39 @@ _MAX_INDICATORS = 2000
 
 _TOP_KEYS = {"squeezing", "efficiencies", "mirror_R", "gain", "enl_db", "blocked"}
 _EFF_KEYS = {"xi1_sq", "xi2_sq", "xi3_sq", "xi4_sq", "eta_sq"}
+_SQUEEZING_KEYS = {"r1", "r1_db", "r2", "r2_db"}
+_GAIN_KEYS = {"mode", "value"}
+_SCHEMA_KEYS = _TOP_KEYS | _EFF_KEYS | _SQUEEZING_KEYS | _GAIN_KEYS
+
+# a block-form line in printable ASCII: indent, a schema key, a value that YAML 1.1 and _Loader
+# read alike (a decimal, an integer short of octal and of 19 digits, a word), a comment
+_BLOCK_LINE = re.compile(r"( *)(?:(\w+):(?: +(?:([-+]?[0-9]+\.[0-9]*(?:[eE][-+]?[0-9]+)?)"
+                         r"|([-+]?(?:0|[1-9][0-9]{0,17}))|(true|false|optimal|fixed)))?)?"
+                         r"(?:(?:^| +)#[ -~]*)?", re.ASCII)
+_BOOLS = {"true": True, "false": False}
+
+
+def _block_form(text: str) -> dict | None:
+    """``yaml.load(text, Loader=_Loader)`` if every line is a :data:`_BLOCK_LINE` of one
+    mapping at most two deep, else None: PyYAML reads every other document."""
+    doc, block, indent = {}, None, None
+    for line in text.split("\n"):
+        if (match := _BLOCK_LINE.fullmatch(line)) is None:
+            return None
+        spaces, key, decimal, integer, word = match.groups()
+        if key is None:  # a blank or comment line
+            continue
+        value = float(decimal) if decimal else int(integer) if integer else _BOOLS.get(word, word)
+        if not spaces:  # a top-level key: a value, or a block of children below
+            mapping, block, indent = doc, {} if value is None else None, None
+        elif block is None or value is None or spaces != (indent := indent or spaces):
+            return None  # not a child of a block, or not at its one indent
+        else:
+            mapping = block
+        if key not in _SCHEMA_KEYS or key in mapping:  # YAML 1.1 reads a key on: as True
+            return None
+        mapping[key] = block if value is None else value
+    return doc if doc and {} not in doc.values() else None  # an empty block is None in YAML
 
 
 @dataclass(frozen=True)
@@ -101,7 +134,7 @@ class ConfigFile:
             if key not in doc:
                 raise ConfigError(f"missing required key {key!r}")
 
-        squeezing = _section(doc, "squeezing", {"r1", "r1_db", "r2", "r2_db"})
+        squeezing = _section(doc, "squeezing", _SQUEEZING_KEYS)
         r: dict[str, float] = {}
         for beam in ("r1", "r2"):
             present = [key for key in (beam, beam + "_db") if squeezing.get(key) is not None]
@@ -123,7 +156,7 @@ class ConfigFile:
 
         mirror_r = _number(doc["mirror_R"], "mirror_R")
 
-        gain = _section(doc, "gain", {"mode", "value"})
+        gain = _section(doc, "gain", _GAIN_KEYS)
         value = _number(gain["value"], "gain.value") if "value" in gain else None
 
         enl_db = _number(doc["enl_db"], "enl_db") if "enl_db" in doc else None
@@ -147,8 +180,10 @@ class ConfigFile:
         if len(text) > _MAX_INDICATORS and sum(map(text.count, "[{-?:")) > _MAX_INDICATORS:
             raise ConfigError(f"config syntax error: over {_MAX_INDICATORS} nesting "
                               f'indicators ([ {{ - ? :), too deep to parse in "{path}"')
+        doc = _block_form(text)
         try:  # RecursionError: a deep document on pure-Python PyYAML
-            doc = yaml.load(text, Loader=_Loader)
+            if doc is None:
+                doc = yaml.load(text, Loader=_Loader)
         except (yaml.YAMLError, RecursionError) as exc:
             # one line naming the file: the problem at its mark, or a ReaderError's lines joined
             mark = getattr(exc, "problem_mark", None)

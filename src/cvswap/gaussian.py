@@ -183,8 +183,12 @@ class GaussianModel:
         if la in self.labels or lb in self.labels or la == lb:
             raise ValueError(f"mode labels {labels!r} must be fresh and distinct")
         r = self._param(r)
-        with np.errstate(over="ignore"):  # 2 r past the float range is inf, as for a float
-            quiet, loud = exp(-2.0 * r), exp(2.0 * r)
+        if type(r) is float:  # 2 r past the float range is inf, silently for a float alone
+            two_r = 2.0 * r
+        else:  # an np.float64 or an array warns there
+            with np.errstate(over="ignore"):
+                two_r = 2.0 * r
+        quiet, loud = exp(-two_r), exp(two_r)
         i, s = self._claim(2, 4)
         # sources x sum, x diff, y sum, y diff in creation order; on each
         # quadrature the a row is (sum + diff) / sqrt2 and the b row (sum - diff) / sqrt2

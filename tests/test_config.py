@@ -9,9 +9,11 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import cvswap.config
 from cvswap import ConfigError, ConfigFile, GainSpec, r_from_db, run_experiment
@@ -355,3 +357,136 @@ def test_aliased_values_are_named_by_kind(lab_config_text, tmp_path, capsys,
     path.write_text(text)
     assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# -- the block form, read without PyYAML ------------------------------------------------
+
+_EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
+
+# a benchmark-style config: repr floats, dB squeezing and a fixed gain
+_DRAWN_CONFIG = """\
+squeezing:
+  r1_db: 5.383402870470146
+  r2: 0.6161226101433541
+efficiencies:
+  xi1_sq: 0.9121542396505813
+  xi2_sq: 0.9870139258411626
+  xi3_sq: 0.8622350627264788
+  xi4_sq: 0.9399925616318911
+  eta_sq: 0.9918404462137322
+mirror_R: 0.9628934404063186
+gain:
+  mode: fixed
+  value: 0.7342058234906713
+"""
+
+# values YAML 1.1 and the loader read alike, then ones they read otherwise or not at all
+_VALUES = ["0.5", "-0.0", "+1.", "5.e3", "1.0E-5", "1.0e+400", "00.5", "0", "-0", "+7", "10",
+           "123456789012345678", "true", "false", "optimal", "fixed",
+           "010", "1_0", ".5", "1e5", "1234567890123456789", "yes", "on", "~", "null", "0.5#c",
+           "'0.5'", "[1]", "&a 1", "!!str 1", "٣.٥"]
+_INSERTS = ["\t", "\r", "\x85", "\u2028", "#", ":", "٣", "\x07", "'", "{", "&", " ", "\ufeff"]
+
+
+def _block_document(entries, indent, comment, gap, insert) -> str:
+    """Top-level ``(key, value, children)`` entries as block-form lines, with ``insert``'s
+    character put in at its position."""
+    lines = []
+    for key, value, children in entries:
+        if value is not None and not children:
+            lines.append(f"{key}: {value}{comment}")
+        else:
+            lines += [f"{key}:{comment}", *(f"{indent}{k}: {v}{comment}" for k, v in children), gap]
+    text = "\n".join(lines) + "\n"
+    if insert is not None:
+        at = insert[0] % (len(text) + 1)
+        text = text[:at] + insert[1] + text[at:]
+    return text
+
+
+_VALUE = st.sampled_from(_VALUES[:16] * 20 + _VALUES)
+_KEY = st.sampled_from(sorted(cvswap.config._SCHEMA_KEYS) + ["on"])
+_BLOCK_DOCUMENTS = st.builds(
+    _block_document,
+    st.lists(st.tuples(_KEY, st.none() | _VALUE,
+                       st.lists(st.tuples(_KEY, _VALUE), max_size=3, unique_by=lambda c: c[0])),
+             max_size=5, unique_by=lambda e: e[0]),
+    st.sampled_from([" ", "  ", "    "]), st.sampled_from(["", " # c", "  #: c"]),
+    st.sampled_from(["", "# c", "   # c", "  "]),
+    st.none() | st.none() | st.tuples(st.integers(0, 400), st.sampled_from(_INSERTS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCK_DOCUMENTS)
+def test_block_form_reads_what_pyyaml_reads(text):
+    # the block-form reader may leave any document to PyYAML, but what it reads PyYAML reads too
+    doc = cvswap.config._block_form(text)
+    if doc is not None:
+        assert repr(doc) == repr(yaml.load(text, Loader=cvswap.config._Loader))
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "outcome"),
+    [("mirror_R: 0.98", "mirror_R: 010", "mirror_R: must be in [0, 1], got 8.0"),  # octal
+     ("mirror_R: 0.98", "mirror_R: 1_0", "mirror_R: must be in [0, 1], got 10.0"),
+     ("mirror_R: 0.98", "mirror_R: .5", {"mirror_R": 0.5}),
+     ("mirror_R: 0.98", "mirror_R: 1e5", "mirror_R: must be in [0, 1], got 100000.0"),
+     ("enl_db: 11.3", "enl_db: 11.3\nblocked: yes", {"channel_blocked": True}),
+     ("enl_db: 11.3", "enl_db: 11.3\nblocked: on", {"channel_blocked": True}),
+     ("enl_db: 11.3", "enl_db: 11.3\nblocked: ~", "blocked: expected true/false, got None"),
+     ("enl_db: 11.3", "enl_db: 11.3\nblocked: null", "blocked: expected true/false, got None"),
+     ("mirror_R: 0.98", "mirror_R: 0.5#c", "mirror_R: expected a number, got '0.5#c'"),
+     ("enl_db: 11.3", "enl_db:#c", "config syntax error: could not find expected ':'"),
+     ("mirror_R: 0.98", "mirror_R: '0.98'", "mirror_R: expected a number, got '0.98'"),
+     ("gain:\n  mode: optimal", "gain: {mode: optimal}", {}),
+     ("mirror_R: 0.98", "mirror_R: &m 0.98", {}),
+     ("mirror_R: 0.98", "mirror_R: !!float 0.98", {}),
+     ("squeezing:", "---\nsqueezing:", {}),
+     ("\n", "\r\n", {}),
+     ("mirror_R: 0.98", "mirror_R: 0.98\t", {}),
+     ("squeezing:", "\ufeffsqueezing:", {}),
+     ("mirror_R: 0.98", "mirror_R: 0.5\nmirror_R: 0.98", {}),  # the last one wins
+     ("  r2: 0.587", "  r2: 0.587\n  r2: 0.5", {"r2": 0.5}),
+     ("  r2: 0.587", "   r2: 0.587", "config syntax error: mapping values are not allowed"),
+     ("mirror_R: 0.98", "mirror_R: ٣.٥", "mirror_R: expected a number, got '٣.٥'"),
+     ("mirror_R: 0.98", "mirror_R: 0.98 # c\x85blocked: true", {"channel_blocked": True}),
+     ("mirror_R: 0.98", "mirror_R: 0.98 # c\x07", "config syntax error: unacceptable character"),
+     ("enl_db: 11.3", "enl_db: 11.3\non: 1", "unknown top-level key True"),
+     ("gain:\n  mode: optimal", "gain:", "gain: expected a mapping")],
+    ids=["octal", "underscore", "leading-point", "no-point-exponent", "yes", "on", "tilde",
+         "null", "hash-in-value", "hash-after-colon", "quoted", "flow", "anchor", "tag",
+         "document-start", "crlf", "tab", "byte-order-mark", "duplicate-top", "duplicate-child", "mismatched-indent",
+         "unicode-digits", "nel-in-comment", "control-in-comment", "key-on", "empty-block"],
+)
+def test_block_form_leaves_every_other_document_to_pyyaml(lab_config_text, old, new, outcome):
+    text = lab_config_text.replace(old, new)
+    assert text != lab_config_text and cvswap.config._block_form(text) is None
+    if isinstance(outcome, dict):
+        changes = {"gain": GainSpec("optimal"), "enl_db": 11.3, **outcome}
+        assert parse(text).to_params() == replace(make_lab_params(), **changes)
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(outcome)}"):
+            parse(text)
+
+
+def _reject_yaml(*args, **kwargs):
+    raise AssertionError("yaml.load called on a block-form document")
+
+
+@pytest.mark.parametrize("source", ["example", "lab", "drawn"])
+def test_block_form_documents_never_reach_pyyaml(lab_config_text, monkeypatch, source):
+    text = {"example": _EXAMPLE_CONFIG.read_text(), "lab": lab_config_text,
+            "drawn": _DRAWN_CONFIG}[source]
+    expected = ConfigFile.from_dict(yaml.load(text, Loader=cvswap.config._Loader))
+    monkeypatch.setattr(yaml, "load", _reject_yaml)
+    assert parse(text) == expected
+
+
+def test_flow_and_json_documents_reach_pyyaml(lab_config_text, monkeypatch):
+    doc = yaml.safe_load(lab_config_text)
+    calls = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *args, **kw: calls.append(args) or load(*args, **kw))
+    for text in (yaml.safe_dump(doc, default_flow_style=True), json.dumps(doc)):
+        assert parse(text) == parse(lab_config_text)
+    assert len(calls) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ def test_epr_single_mode_variance_matches_brute_force():
 def test_epr_negative_r_rejected():
     with pytest.raises(ValueError, match=">= 0"):
         GaussianModel(2, 4).add_epr_pair(("a", "b"), -0.1)
+
+
+def test_epr_overflowing_2r_is_silently_inf_for_a_float_an_np_float64_and_an_array():
+    # a float's 2 r overflows silently; an np.float64's or an array's would warn
+    rows = {1e308: [0.0, math.inf, math.inf, 0.0], 0.5: [exp(-1.0), exp(1.0), exp(1.0), exp(-1.0)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1e308, np.float64(1e308)):
+            m = GaussianModel(2, 4).add_epr_pair(("a", "b"), r).freeze()
+            assert m.variances.tolist() == rows[1e308]
+        m = GaussianModel(2, 4, (2,)).add_epr_pair(("a", "b"), np.array([1e308, 0.5])).freeze()
+        assert m.variances.T.tolist() == [rows[1e308], rows[0.5]]
 
 
 @given(st.floats(min_value=0.0, max_value=3.0))

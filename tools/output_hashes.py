@@ -7,10 +7,11 @@ Usage::
 Runs each command below on ``CHECKOUT/src`` (default: the checkout holding
 this script), each in a fresh interpreter and a fresh temporary directory
 holding ``example.yaml`` (``CHECKOUT/configs/example.yaml``), the CI's
-``fixed.yaml`` and ``exponent.yaml`` edits of it, and the out-of-range edits
-of :data:`RANGE_CONFIGS`. It prints one sha256 line per stdout, stderr, exit
-code and written file, so two checkouts compare with one ``diff`` of their
-outputs, e.g. a commit against its parent::
+``fixed.yaml`` and ``exponent.yaml`` edits of it, the rewrites of
+:data:`PARSE_CONFIGS` and the out-of-range edits of :data:`RANGE_CONFIGS`.
+It prints one sha256 line per stdout, stderr, exit code and written file, so
+two checkouts compare with one ``diff`` of their outputs, e.g. a commit
+against its parent::
 
     mkdir parent && git archive PARENT | tar -x -C parent
     diff <(python tools/output_hashes.py parent) <(python tools/output_hashes.py)
@@ -30,7 +31,12 @@ import subprocess
 import sys
 import tempfile
 
+import yaml
+
 CONFIGS = ("example.yaml", "fixed.yaml", "exponent.yaml")
+# example.yaml rewritten in flow style, which only PyYAML reads, and with CRLF line ends,
+# which the CLI reads as "\n" (universal newlines) and so reads as the block form
+PARSE_CONFIGS = ("flow.yaml", "crlf.yaml")
 # the CI's edits with a feedforward port that underflows to 0 and with exps past the
 # float range, and a 2 r past it: every route's overflow and range exit
 RANGE_CONFIGS = ("tiny.yaml", "r200.yaml", "r400.yaml", "r1e308.yaml")
@@ -70,6 +76,12 @@ def commands() -> list[list[str]]:
         for kind in KINDS:
             runs.append(["montecarlo", "--config", config, "--kind", kind, "--points", "100",
                          "--seed", "1", "--out", f"bytes-{stem}-{kind}.csv"])
+    for config in PARSE_CONFIGS:
+        stem = config.removesuffix(".yaml")
+        runs += [["predict", "--config", config],
+                 ["predict", "--config", config, "--json", "--out", "predict.json"],
+                 ["montecarlo", "--config", config, "--kind", "correlated", "--seed", "1",
+                  "--out", f"bytes-{stem}-correlated.csv"]]
     runs += [["verify", "--config", "example.yaml"],
              ["verify", "--config", "example.yaml", "--random", "200", "--seed", "1"],
              ["verify", "--config", "example.yaml", "--random", "20000", "--seed", "7"],
@@ -92,21 +104,23 @@ def edit(text: str, *edits: tuple[str, str]) -> str:
 
 
 def write_configs(checkout: pathlib.Path, directory: pathlib.Path) -> None:
-    """The example config, the CI's fixed-gain and exponent-number edits of it, and
-    the out-of-range ones."""
+    """The example config, the CI's fixed-gain and exponent-number edits of it, its
+    flow-style and CRLF rewrites, and the out-of-range edits."""
     text = (checkout / "configs" / "example.yaml").read_text()
     blocked = ("# blocked: .*", "blocked: true")
     bodies = (text,
               edit(text, ("mode: optimal.*", "mode: fixed\n  value: 0.74"), ("enl_db: .*\n", "")),
               edit(text, ("r1: .*", "r1: 1.0e-05"), ("enl_db: .*", "enl_db: 1.0e+20")),
+              yaml.safe_dump(yaml.safe_load(text), default_flow_style=True),
+              text.replace("\n", "\r\n"),
               edit(text, ("xi1_sq: .*", "xi1_sq: 5e-324"), ("eta_sq: .*", "eta_sq: 5e-324"),
                    ("mirror_R: .*", "mirror_R: 0.99999999"),
                    ("mode: optimal.*", "mode: fixed\n  value: 0.5")),
               edit(text, ("r1: .*", "r1: 200"), ("r2: .*", "r2: 1")),
               edit(text, ("r1: .*", "r1: 400"), blocked),
               edit(text, ("r2: .*", "r2: 1e308"), blocked))
-    for name, body in zip(CONFIGS + RANGE_CONFIGS, bodies):
-        (directory / name).write_text(body)
+    for name, body in zip(CONFIGS + PARSE_CONFIGS + RANGE_CONFIGS, bodies, strict=True):
+        (directory / name).write_bytes(body.encode())
 
 
 def sha256(data: bytes) -> str:
@@ -130,7 +144,7 @@ def main() -> None:
             print(sha256(done.stderr), f"{label}: stderr")
             print(sha256(str(done.returncode).encode()), f"{label}: exit code")
             for path in sorted(directory.iterdir()):
-                if path.name not in CONFIGS + RANGE_CONFIGS:
+                if path.name not in CONFIGS + PARSE_CONFIGS + RANGE_CONFIGS:
                     print(sha256(path.read_bytes()), f"{label}: {path.name}")
 
 
