@@ -1,23 +1,23 @@
 """Config-file schema and strict parsing for the CLI.
 
-Documents are YAML, read with YAML 1.2's floats (``1e-3`` is a number, not
-a string); JSON therefore also parses. Efficiencies are quoted as
-intensities (xi*_sq, eta_sq) because that is how they are measured;
-:meth:`ExperimentParams.from_intensities` takes the square roots. Squeezing
-goes in either as a parameter ``r`` or as a dB depth below shot noise,
-exactly one per beam. Parsing checks the document's shape and rejects
-unknown keys with their path; the value ranges are checked once, by the
-parameter records, and a range error is a :class:`ConfigError` too.
+Documents are YAML, read with YAML 1.2's floats (``1e-3`` is a number, not a
+string); JSON therefore also parses. A block-form document is read line by
+line, and PyYAML is imported only for a document of any other form.
+Efficiencies are quoted as intensities (xi*_sq, eta_sq) because that is how
+they are measured; :meth:`ExperimentParams.from_intensities` takes the
+square roots. Squeezing goes in either as a parameter ``r`` or as a dB depth
+below shot noise, exactly one per beam. Parsing checks the document's shape
+and rejects unknown keys with their path; the value ranges are checked once,
+by the parameter records, and a range error is a :class:`ConfigError` too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-
-import yaml
 
 from . import analytics
 from .params import ExperimentParams, GainSpec, shown
@@ -29,28 +29,30 @@ class ConfigError(Exception):
     """Malformed config document (syntax, schema, or value errors)."""
 
 
-class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
-    """PyYAML's safe loader, on libyaml where built with it, plus YAML 1.2 floats
-    (1.1 reads ``1e-3`` as a string)."""
+@functools.cache
+def _loader() -> type:
+    """PyYAML's safe loader, on libyaml where built with it, plus YAML 1.2 floats (1.1 reads
+    ``1e-3`` as a string), built on the first document that is not block form."""
+    import yaml
 
+    class Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+        pass  # on this subclass only: PyYAML's own loaders keep their resolvers and constructors
 
-# on this subclass only: PyYAML's own loaders keep their resolvers and constructors
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+0123456789."))
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+0123456789."))
 
+    def construct_marked(loader, node):
+        """An int or a date as PyYAML builds it, but a ValueError (past Python's 4300-digit
+        limit, past the calendar) is a ConstructorError at the node, without int()'s advice."""
+        try:
+            return yaml.constructor.SafeConstructor.yaml_constructors[node.tag](loader, node)
+        except ValueError as exc:
+            problem = str(exc).partition(";")[0]  # drops "; use sys.set_int_max_str_digits() ..."
+            raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from exc
 
-def _construct_marked(loader, node):
-    """An int or a date as PyYAML builds it, but a ValueError (past Python's 4300-digit
-    limit, past the calendar) is a ConstructorError at the node, without int()'s advice."""
-    try:
-        return yaml.constructor.SafeConstructor.yaml_constructors[node.tag](loader, node)
-    except ValueError as exc:
-        problem = str(exc).partition(";")[0]  # drops "; use sys.set_int_max_str_digits() ..."
-        raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from exc
-
-
-for _tag in ("int", "timestamp"):
-    _Loader.add_constructor("tag:yaml.org,2002:" + _tag, _construct_marked)
+    for tag in ("int", "timestamp"):
+        Loader.add_constructor("tag:yaml.org,2002:" + tag, construct_marked)
+    return Loader
 
 
 def _number(value, path: str) -> float:
@@ -86,7 +88,7 @@ _SQUEEZING_KEYS = {"r1", "r1_db", "r2", "r2_db"}
 _GAIN_KEYS = {"mode", "value"}
 _SCHEMA_KEYS = _TOP_KEYS | _EFF_KEYS | _SQUEEZING_KEYS | _GAIN_KEYS
 
-# a block-form line in printable ASCII: indent, a schema key, a value that YAML 1.1 and _Loader
+# a block-form line in printable ASCII: indent, a schema key, a value that YAML 1.1 and _loader()
 # read alike (a decimal, an integer short of octal and of 19 digits, a word), a comment
 _BLOCK_LINE = re.compile(r"( *)(?:(\w+):(?: +(?:([-+]?[0-9]+\.[0-9]*(?:[eE][-+]?[0-9]+)?)"
                          r"|([-+]?(?:0|[1-9][0-9]{0,17}))|(true|false|optimal|fixed)))?)?"
@@ -95,7 +97,7 @@ _BOOLS = {"true": True, "false": False}
 
 
 def _block_form(text: str) -> dict | None:
-    """``yaml.load(text, Loader=_Loader)`` if every line is a :data:`_BLOCK_LINE` of one
+    """``yaml.load(text, Loader=_loader())`` if every line is a :data:`_BLOCK_LINE` of one
     mapping at most two deep, else None: PyYAML reads every other document."""
     doc, block, indent = {}, None, None
     for line in text.split("\n"):
@@ -180,16 +182,17 @@ class ConfigFile:
         if len(text) > _MAX_INDICATORS and sum(map(text.count, "[{-?:")) > _MAX_INDICATORS:
             raise ConfigError(f"config syntax error: over {_MAX_INDICATORS} nesting "
                               f'indicators ([ {{ - ? :), too deep to parse in "{path}"')
-        doc = _block_form(text)
-        try:  # RecursionError: a deep document on pure-Python PyYAML
-            if doc is None:
-                doc = yaml.load(text, Loader=_Loader)
-        except (yaml.YAMLError, RecursionError) as exc:
-            # one line naming the file: the problem at its mark, or a ReaderError's lines joined
-            mark = getattr(exc, "problem_mark", None)
-            detail = (f'{exc.problem} in "{path}", line {mark.line + 1}, column {mark.column + 1}'
-                      if mark else str(exc).replace('\n  in "<unicode string>"', f' in "{path}"'))
-            raise ConfigError(f"config syntax error: {detail}") from exc
+        if (doc := _block_form(text)) is None:
+            import yaml
+            try:  # RecursionError: a deep document on pure-Python PyYAML
+                doc = yaml.load(text, Loader=_loader())
+            except (yaml.YAMLError, RecursionError) as exc:
+                # one line naming the file: the problem at its mark, or a ReaderError, lines joined
+                mark = getattr(exc, "problem_mark", None)
+                detail = (f'{exc.problem} in "{path}", line {mark.line + 1}, column '
+                          f'{mark.column + 1}' if mark else
+                          str(exc).replace('\n  in "<unicode string>"', f' in "{path}"'))
+                raise ConfigError(f"config syntax error: {detail}") from exc
         return cls.from_dict(doc)
 
     @classmethod

@@ -26,11 +26,10 @@ forms, measured photocurrents fed forward included, is the exact sum
 
 A network is grown in place on arrays allocated once at its final size:
 ``GaussianModel(modes, sources, batch_shape)`` is a writable model with that
-room, ``rows.shape[:2]``, and :meth:`GaussianModel.builder` copies a model into
-one with room for more. Each element writes there, and :meth:`GaussianModel.freeze`
-checks that the room is filled (the modes in use are ``len(labels)``) and makes
-the arrays read-only. A builder leaves its model unchanged; a frozen model
-refuses every element.
+room, ``rows.shape[:2]``. Each element writes there, and
+:meth:`GaussianModel.freeze` checks that the room is filled (the modes in use
+are ``len(labels)``) and makes the arrays read-only; a frozen model refuses
+every element.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 class GaussianModel:
     """Creation-order source variances and quadrature tags, plus one row per live mode.
 
-    Grow a network on a new model or a :meth:`builder`: each element checks its
-    arguments, writes in place and returns the model, so elements chain.
+    Grow a network on a new model: each element checks its arguments, writes in place
+    and returns the model, so elements chain.
     """
 
     def __init__(self, modes: int, sources: int, batch_shape: tuple[int, ...] = ()) -> None:
@@ -60,16 +59,6 @@ class GaussianModel:
         self.rows = np.zeros((modes, sources, *batch_shape))
         self.labels: dict[str, int] = {}
         self._n_sources = 0
-
-    def builder(self, new_modes: int, new_sources: int) -> GaussianModel:
-        """A writable copy of this model with room for ``new_modes`` more modes and
-        ``new_sources`` more sources, which must all be filled before it freezes."""
-        n, s = len(self.labels), self._n_sources
-        net = GaussianModel(n + new_modes, s + new_sources, self.batch_shape)
-        net.variances[:s], net.y_sources[:s] = self.variances[:s], self.y_sources[:s]
-        net.rows[:n, :s] = self.rows[:n, :s]
-        net.labels, net._n_sources = dict(self.labels), s
-        return net
 
     def freeze(self) -> GaussianModel:
         """This model, read-only from now on; its declared room must be filled."""

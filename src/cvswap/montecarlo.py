@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import swap
 from .gaussian import GaussianModel
@@ -151,6 +150,7 @@ def _plain_text(value) -> str:
         return str(value)
     if value is None or kind is bool:
         return "null" if value is None else "true" if value else "false"
+    import yaml
     raise yaml.representer.RepresenterError(f"cannot represent an object: {value!r}")
 
 
@@ -161,6 +161,7 @@ def _shape(mapping: dict, texts: list) -> tuple:
     shape = []
     for key, value in sorted(mapping.items()):
         if type(key) is not str:  # 1, 1.0 and True are one dict key but three YAML keys
+            import yaml
             raise yaml.representer.RepresenterError(f"cannot represent a key: {key!r}")
         if type(value) is dict:
             value = _shape(value, texts)
@@ -182,6 +183,7 @@ def _layout(shape: tuple, slots: int) -> str:
     """The sidecar text of metadata of layout ``shape``, ``%s`` in each of its ``slots`` slots:
     a slot's one plain token ends its line and sets no other line's layout, so ``safe_dump``
     writes the layout once, with a marker token in each slot that no key or string leaf writes."""
+    import yaml
     for attempt in itertools.count():
         slot = f"slot{attempt}"
         text = yaml.safe_dump(_tree(shape, slot), sort_keys=True)

@@ -76,6 +76,17 @@ ELEMENT_ROOM = {
 }
 
 
+def with_room(model: GaussianModel, new_modes: int, new_sources: int) -> GaussianModel:
+    """A writable copy of ``model`` with room for ``new_modes`` more modes and
+    ``new_sources`` more sources, which must all be filled before it freezes."""
+    n, s = len(model.labels), model._n_sources
+    net = GaussianModel(n + new_modes, s + new_sources, model.batch_shape)
+    net.variances[:s], net.y_sources[:s] = model.variances[:s], model.y_sources[:s]
+    net.rows[:n, :s] = model.rows[:n, :s]
+    net.labels, net._n_sources = dict(model.labels), s
+    return net
+
+
 def grow(model: GaussianModel, element: str, *args) -> GaussianModel:
-    """A new model: ``model`` plus one element, built on a builder with exactly its room."""
-    return getattr(model.builder(*ELEMENT_ROOM[element]), element)(*args).freeze()
+    """A new model: ``model`` plus one element, on a copy with exactly its room."""
+    return getattr(with_room(model, *ELEMENT_ROOM[element]), element)(*args).freeze()

@@ -673,6 +673,53 @@ def test_verify_rejected_config_keeps_exit_and_message(tmp_path, python_warnings
     assert json.loads(done.stdout) == expected
 
 
+# runs each argv of the JSON list in argv[1] through main, in one interpreter, noting after
+# each whether PyYAML has been imported
+_RUN_NOTING_YAML = """\
+import contextlib, io, json, sys
+from cvswap.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue(), "yaml" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_pyyaml_is_imported_only_for_a_flow_style_config_or_a_sidecar(tmp_path, capsys):
+    config, flow = str(_EXAMPLE_CONFIG), tmp_path / "flow.yaml"
+    flow.write_text(yaml.safe_dump(yaml.safe_load(_EXAMPLE_CONFIG.read_text()),
+                                   default_flow_style=True))
+    block_form = [["predict", "--config", config], ["predict", "--json", "--config", config],
+                  ["optimal-gain", "--config", config],
+                  ["verify", "--config", config, "--random", "3"],
+                  ["sweep", "--config", config, "--r1", "0", "1", "--r2", "0", "1",
+                   "--steps", "3", "--out", str(tmp_path / "grid.csv")]]
+    trace = tmp_path / "trace.csv"
+    sessions = [[*block_form, ["predict", "--config", str(flow)]],
+                [["montecarlo", "--config", config, "--kind", "correlated", "--points", "5",
+                  "--seed", "1", "--out", str(trace)]]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cvswap.__file__)))
+    results = []
+    for argvs in sessions:  # each in a fresh interpreter
+        done = subprocess.run([sys.executable, "-c", _RUN_NOTING_YAML, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        results += json.loads(done.stdout)
+    assert [imported for *_, imported in results] == [False] * 5 + [True, True]
+    for argv, (code, out, _) in zip([*block_form, ["predict", "--config", config]], results):
+        assert code == EXIT_OK and out != "" and main(argv) == EXIT_OK
+        assert out == capsys.readouterr().out
+    assert results[-1][0] == EXIT_OK
+    expected = montecarlo.render_trace(ConfigFile.load(config).to_params(), "correlated", 5, 1)
+    sidecar = trace.with_suffix(".meta.yaml").read_text()
+    assert sidecar == yaml.safe_dump(expected.metadata, sort_keys=True)
+    db = [10.0 * math.log10(power) for power in expected.powers]
+    assert trace.read_text().splitlines()[1:] == [f"{i},{v!r}" for i, v in enumerate(db)]
+
+
 def test_verify_negative_random_with_config_is_usage_error(config_path, capsys):
     captured = _is_usage_error(["verify", "--config", config_path, "--random", "-5"], capsys,
                                "error: argument --random: must be >= 0, got -5")

@@ -144,7 +144,7 @@ class _PureLoader(yaml.SafeLoader):
 def test_syntax_error_is_one_line_naming_the_file(tmp_path, monkeypatch, capsys, loader,
                                                   text, where):
     if loader == "pure":
-        monkeypatch.setattr(cvswap.config, "_Loader", _PureLoader)
+        monkeypatch.setattr(cvswap.config, "_loader", lambda: _PureLoader)
     path = tmp_path / "broken.yaml"
     path.write_text(text)
     assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
@@ -167,13 +167,13 @@ def test_config_is_read_as_utf8(lab_config_text, tmp_path, capsys, encoding, cod
 
 
 def test_parser_runs_on_libyaml_when_pyyaml_has_it():
-    from cvswap.config import _Loader
+    loader = cvswap.config._loader()
 
     if yaml.__with_libyaml__:
-        assert issubclass(_Loader, yaml.CSafeLoader)
+        assert issubclass(loader, yaml.CSafeLoader)
     else:
-        assert issubclass(_Loader, yaml.SafeLoader)
-    assert issubclass(_Loader, yaml.constructor.SafeConstructor)
+        assert issubclass(loader, yaml.SafeLoader)
+    assert issubclass(loader, yaml.constructor.SafeConstructor)
 
 
 def test_root_must_be_mapping():
@@ -312,7 +312,7 @@ def test_pure_python_parser_nested_too_deep_is_config_error(tmp_path, monkeypatc
     class PureLoader(yaml.SafeLoader):
         pass
 
-    monkeypatch.setattr(cvswap.config, "_Loader", PureLoader)
+    monkeypatch.setattr(cvswap.config, "_loader", lambda: PureLoader)
     path = tmp_path / "deep.yaml"
     path.write_text("squeezing: " + "[" * 600 + "]" * 600 + "\n")
     assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
@@ -422,7 +422,7 @@ def test_block_form_reads_what_pyyaml_reads(text):
     # the block-form reader may leave any document to PyYAML, but what it reads PyYAML reads too
     doc = cvswap.config._block_form(text)
     if doc is not None:
-        assert repr(doc) == repr(yaml.load(text, Loader=cvswap.config._Loader))
+        assert repr(doc) == repr(yaml.load(text, Loader=cvswap.config._loader()))
 
 
 @pytest.mark.parametrize(
@@ -477,7 +477,7 @@ def _reject_yaml(*args, **kwargs):
 def test_block_form_documents_never_reach_pyyaml(lab_config_text, monkeypatch, source):
     text = {"example": _EXAMPLE_CONFIG.read_text(), "lab": lab_config_text,
             "drawn": _DRAWN_CONFIG}[source]
-    expected = ConfigFile.from_dict(yaml.load(text, Loader=cvswap.config._Loader))
+    expected = ConfigFile.from_dict(yaml.load(text, Loader=cvswap.config._loader()))
     monkeypatch.setattr(yaml, "load", _reject_yaml)
     assert parse(text) == expected
 

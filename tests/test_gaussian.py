@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from cvswap import GaussianModel
 from cvswap.params import EXP_MAX, exp
-from conftest import grow
+from conftest import grow, with_room
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,7 +156,7 @@ def test_beamsplitter_of_a_mode_with_itself_is_rejected():
     # on one row the map is not unitary: at t = 0.6 it took vacuum's x variance to 0.04
     for scale in ONE_POINT_AND_BATCH:
         m = GaussianModel(1, 2, np.shape(scale)).add_vacuum_mode("v").freeze()
-        net = m.builder(0, 0)
+        net = with_room(m, 0, 0)
         with pytest.raises(ValueError, match=r"mode labels \('v', 'v'\) must be distinct"):
             net.beamsplitter(("v", "v"), 0.6 * scale)
         assert net.freeze().rows.tobytes() == m.rows.tobytes()
@@ -403,9 +403,9 @@ def test_elements_leave_parent_arrays_unchanged():
         net = GaussianModel(4, 8, np.shape(scale))
         m = net.add_epr_pair(("a", "b"), 0.3 * scale).add_epr_pair(("c", "d"), 0.9).freeze()
         rows, variances, labels = m.rows.copy(), m.variances.copy(), dict(m.labels)
-        # each element on a builder of its own, then all of them on one builder
+        # each element on a copy of its own, then all of them on one copy
         children = _every_element(m, scale)
-        net = m.builder(3, 8).add_vacuum_mode("v").add_epr_pair(("e", "f"), 0.5 * scale)
+        net = with_room(m, 3, 8).add_vacuum_mode("v").add_epr_pair(("e", "f"), 0.5 * scale)
         net.beamsplitter(("a", "c"), 0.6 * scale).loss("b", 0.7 * scale)
         net.displace_by_form("d", m.x_form("a"), m.y_form("b"), 0.4 * scale)
         assert not any(np.array_equal(child.rows, rows) for child in children)
@@ -568,7 +568,7 @@ def test_form_taken_before_later_loss_keeps_its_variance():
     m = net.add_epr_pair(("a", "b"), 0.564).add_epr_pair(("c", "d"), 0.587).freeze()
     current = (m.x_form("b") + m.x_form("c")) * (1 / SQRT2)
     y_current = (m.y_form("b") - m.y_form("c")) * (1 / SQRT2)
-    later = m.builder(0, 4).loss("b", 0.8).loss("d", 0.6).freeze()
+    later = with_room(m, 0, 4).loss("b", 0.8).loss("d", 0.6).freeze()
     assert later.variances.size > current.size
     assert later.variance(current) == m.variance(current)
     assert later.covariance(current, later.x_form("d")) == pytest.approx(
@@ -582,7 +582,7 @@ def test_form_taken_before_later_loss_keeps_its_variance():
     assert np.array_equal(fed.y_form("a")[n:], later.y_form("a")[n:])
 
 
-# -- the builder ----------------------------------------------------------------------
+# -- the in-place build ---------------------------------------------------------------
 
 
 def test_form_taken_mid_build_is_a_snapshot():
@@ -598,7 +598,7 @@ def test_form_taken_mid_build_is_a_snapshot():
         before = GaussianModel(3, 6, np.shape(scale))
         before = before.add_epr_pair(("a", "b"), 0.5 * scale).add_vacuum_mode("v").freeze()
         assert np.array_equal(m.variance(x_a), before.variance(x_a))
-        assert np.array_equal(m.variance(x_a), taken_variance)  # on the builder, then frozen
+        assert np.array_equal(m.variance(x_a), taken_variance)  # while writable, then frozen
 
 
 def test_builder_freezes_only_at_its_declared_size():
@@ -613,7 +613,7 @@ def test_builder_freezes_only_at_its_declared_size():
     m = net.freeze()
     assert m.rows.shape == (2, 6) and m.variances.shape == (6,)
     with pytest.raises(ValueError, match="read-only"):
-        net.beamsplitter(("a", "b"), 0.5)  # a frozen builder's arrays are the model's
+        net.beamsplitter(("a", "b"), 0.5)  # frozen, it is the read-only model
 
 
 def test_frozen_model_refuses_every_element():

@@ -25,7 +25,7 @@ from cvswap import (
 from cvswap.analytics import electronic_gain
 from cvswap.cli import DRAW_HIGH, DRAW_LOW
 from cvswap.swap import resolve_gain, single_mode_noise, verification_variances
-from conftest import grow, make_lab_params
+from conftest import grow, make_lab_params, with_room
 
 SQRT2 = math.sqrt(2.0)
 
@@ -390,7 +390,7 @@ def test_network_handles_compare_by_identity(lab_params):
 def test_local_displacement_changes_no_variance(lab_params):
     model, handles = build_network(lab_params)
     zero = np.zeros(model.variances.size)
-    shifted = model.builder(0, 0).displace_by_form("a", zero, zero, 1.0)
+    shifted = with_room(model, 0, 0).displace_by_form("a", zero, zero, 1.0)
     shifted = shifted.displace_by_form("d", zero, zero, 1.0).freeze()
     victor_plus = (shifted.x_form("a") + shifted.x_form("d")) * (1 / SQRT2)
     victor_minus = (shifted.y_form("a") - shifted.y_form("d")) * (1 / SQRT2)
@@ -428,7 +428,7 @@ def test_full_mirror_with_gain_is_rejected(lab_params):
 
 class _ElementByElement:
     """A frozen model that grows by one element per call, through ``grow``, with the
-    builder's chaining interface: ``model`` is the network so far."""
+    writable model's chaining interface: ``model`` is the network so far."""
 
     def __init__(self, model: GaussianModel) -> None:
         self.model = model
@@ -447,7 +447,7 @@ class _ElementByElement:
 
 
 def _swap_elements(m, p, g_electronic):
-    """build_network's elements in its order, on a builder or an ``_ElementByElement``."""
+    """build_network's elements in its order, on a writable model or an ``_ElementByElement``."""
     m = m.add_epr_pair(("a", "b"), p.r1).add_epr_pair(("c", "d"), p.r2)
     m = m.loss("b", p.xi1).loss("c", p.xi1).beamsplitter(("b", "c"), 1.0 / SQRT2)
     m = m.loss("b", p.eta).loss("c", p.eta)
